@@ -426,13 +426,16 @@ def _run_simulate(args):
     data = bench_mod.generate_synthetic(spec, args.seed)
     if args.output is None:
         raise ValidationError("simulate requires --output for the CSV destination")
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(data.p)] + ["y"])
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(v)) for v in data.design[i]] + [repr(float(data.response[i]))]
-            )
+    try:
+        with open(args.output, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([f"x{j + 1}" for j in range(data.p)] + ["y"])
+            for i in range(data.n):
+                writer.writerow(
+                    [repr(float(v)) for v in data.design[i]] + [repr(float(data.response[i]))]
+                )
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.output}: {exc}") from exc
     return {
         "path": args.output,
         "n": data.n,
@@ -467,6 +470,25 @@ def main(argv=None) -> int:
             results, table = _run_bench(args)
         else:
             results = _run_simulate(args)
+
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": _config_echo(args),
+            "results": _jsonable(results),
+            "timings_ms": elapsed_ms if getattr(args, "timings", False) else None,
+        }
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+        if args.command == "simulate" or args.output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(f"cannot write {args.output}: {exc}") from exc
     except ValidationError as exc:
         print(f"sublsq: input error: {exc}", file=sys.stderr)
         return 1
@@ -474,21 +496,6 @@ def main(argv=None) -> int:
         print(f"sublsq: numerical failure: {exc}", file=sys.stderr)
         return 2
 
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "config": _config_echo(args),
-        "results": _jsonable(results),
-        "timings_ms": elapsed_ms if getattr(args, "timings", False) else None,
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    if args.command == "simulate" or args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
     if table is not None:
         sys.stdout.write(table + "\n")
     return 0

@@ -1,7 +1,12 @@
 """Subsample draws and subsample least-squares estimates.
 
 ``draw`` samples row indices i.i.d. with replacement from a probability
-vector using the alias method (one O(n) table build, O(1) per draw).
+vector using the alias method (one O(n) table build, O(1) per draw). The
+table is built from prefix sums in vectorized numpy, and it is the table
+Vose's stack loop builds, so draws equal those of the loop. The one
+exception is exactly tied probabilities that put a cell boundary within
+rounding error, where the two constructions can split that boundary
+differently; either table has the law ``probs``.
 ``subsample_estimate`` then fits either a plain OLS on the drawn rows or
 a weighted LS with weights equal to the reciprocal drawn probabilities,
 which is the correction that keeps non-uniform schemes asymptotically
@@ -39,7 +44,6 @@ class SubsampleDraw:
     indices: np.ndarray
     draw_probs: np.ndarray
     seed: SeedLike
-    with_replacement: bool = True
 
     def __post_init__(self):
         idx = np.ascontiguousarray(self.indices, dtype=np.intp)
@@ -65,27 +69,39 @@ class SubsampleDraw:
 def alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walker/Vose alias table: (acceptance probabilities, alias targets).
 
-    Zero-probability entries are valid; their cells always redirect, so
-    those indices are never produced.
+    The table Vose's loop builds when it pops small (``n p_i < 1``) and
+    large cells in descending index order, computed from prefix sums. The
+    loop fills one large cell at a time: small cell k goes to the first
+    large cell whose cumulative excess covers the deficit of the small
+    cells before it, and a large cell is spent, and aliases the next large
+    cell, once the cumulative deficit passes its cumulative excess. The
+    prefix sums round differently from the loop's running subtraction, by
+    O(n eps) in the acceptance probabilities. Zero-probability entries are
+    valid; their cells always redirect, so those indices are never produced.
     """
     p = np.asarray(probs, dtype=np.float64)
     n = p.shape[0]
-    accept = np.zeros(n)
-    alias = np.zeros(n, dtype=np.intp)
     scaled = p * n
-    small = np.flatnonzero(scaled < 1.0).tolist()
-    large = np.flatnonzero(scaled >= 1.0).tolist()
-    while small and large:
-        s = small.pop()
-        big = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = big
-        scaled[big] -= 1.0 - scaled[s]
-        (small if scaled[big] < 1.0 else large).append(big)
-    # Leftovers are full cells up to rounding.
-    for i in small + large:
-        accept[i] = 1.0
-        alias[i] = i
+    # Cells the loop leaves over are full up to rounding: accept 1, no alias.
+    accept = np.ones(n)
+    alias = np.arange(n, dtype=np.intp)
+    below = scaled < 1.0
+    small = np.flatnonzero(below)[::-1]
+    large = np.flatnonzero(~below)[::-1]
+    deficit = np.cumsum(1.0 - scaled[small])
+    excess = np.cumsum(scaled[large] - 1.0)
+
+    owner = np.searchsorted(excess, np.concatenate(([0.0], deficit))[:-1], side="left")
+    filled = owner < large.size
+    cells = small[filled]
+    accept[cells] = scaled[cells]
+    alias[cells] = large[owner[filled]]
+
+    # The last large cell is never spent: the loop stops when it runs out.
+    spent_by = np.searchsorted(deficit, excess[:-1], side="right")
+    spent = np.flatnonzero(spent_by < small.size)
+    accept[large[spent]] = 1.0 + excess[spent] - deficit[spent_by[spent]]
+    alias[large[spent]] = large[spent + 1]
     return accept, alias
 
 

@@ -73,18 +73,21 @@ class SubsetDistribution:
         object.__setattr__(self, "masses", masses)
 
 
+def _information(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """The p x p information matrix of each index row, stacked."""
+    rows = design[index_rows]  # (m, r, p)
+    if scale is None:
+        return np.einsum("mri,mrj->mij", rows, rows)
+    return np.einsum("mri,mrj,mr->mij", rows, rows, scale[index_rows])
+
+
 def _gram_dets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
     """det of the p x p information matrix of each index row, chunked."""
     m = index_rows.shape[0]
     out = np.empty(m)
     for lo in range(0, m, _DET_CHUNK):
         hi = min(lo + _DET_CHUNK, m)
-        rows = design[index_rows[lo:hi]]  # (chunk, r, p)
-        if scale is None:
-            gram = np.einsum("mri,mrj->mij", rows, rows)
-        else:
-            gram = np.einsum("mri,mrj,mr->mij", rows, rows, scale[index_rows[lo:hi]])
-        out[lo:hi] = np.linalg.det(gram)
+        out[lo:hi] = np.linalg.det(_information(design, index_rows[lo:hi], scale))
     # Determinants of PSD matrices; clear the rounding noise below zero.
     np.clip(out, 0.0, None, out=out)
     return out
@@ -155,11 +158,15 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     return SubsetDistribution(subsets=sequences, masses=weights / total)
 
 
-def _sample_rows(dist: SubsetDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    cum = np.cumsum(dist.masses / dist.masses.sum())
+def _inverse_cdf(weights: np.ndarray):
+    """Sampler mapping uniforms in [0, 1) to indices drawn proportionally to ``weights``."""
+    cum = np.cumsum(weights / weights.sum())
     cum[-1] = 1.0
-    picks = np.searchsorted(cum, rng.random(size), side="right")
-    return dist.subsets[picks]
+    return lambda u: np.searchsorted(cum, u, side="right")
+
+
+def _sample_rows(dist: SubsetDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+    return dist.subsets[_inverse_cdf(dist.masses)(rng.random(size))]
 
 
 def _warn_if_small_r(r: int, p: int) -> None:
@@ -179,7 +186,9 @@ def _leveraged_rejection(
 
     The acceptance ratio is det(information matrix of tau) over the AM-GM
     bound ``(r * max_i ||x_i||^2 / q_i / p)^p``, which dominates every
-    determinant, so accepted sequences follow the target exactly.
+    determinant, so accepted sequences follow the target exactly. The test
+    runs in log space, so neither the bound nor a determinant over- or
+    underflows at extreme row scales.
     """
     lev = _require_full_rank(data, "leveraged volume sampling")
     if np.any(~data.design.any(axis=1)):
@@ -187,10 +196,8 @@ def _leveraged_rejection(
     q = lev / data.p
     row_sq = np.einsum("ij,ij->i", data.design, data.design)
     log_bound = data.p * math.log(r * float(np.max(row_sq / q)) / data.p)
-    bound = math.exp(log_bound)
 
-    cum = np.cumsum(q / q.sum())
-    cum[-1] = 1.0
+    propose = _inverse_cdf(q)
     collected: list[np.ndarray] = []
     used = 0
     got = 0
@@ -202,9 +209,9 @@ def _leveraged_rejection(
                 f"{_REJECTION_PROPOSAL_BUDGET} proposals; the determinant bound "
                 "is too loose for this design"
             )
-        proposals = np.searchsorted(cum, rng.random((batch, r)), side="right").astype(np.intp)
-        dets = _gram_dets(data.design, proposals, scale=1.0 / q)
-        keep = rng.random(batch) * bound <= dets
+        proposals = propose(rng.random((batch, r))).astype(np.intp)
+        sign, logdet = np.linalg.slogdet(_information(data.design, proposals, 1.0 / q))
+        keep = (sign > 0) & (np.log(rng.random(batch)) <= logdet - log_bound)
         used += batch
         if np.any(keep):
             accepted = proposals[keep]

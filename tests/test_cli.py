@@ -214,6 +214,18 @@ def test_simulate_roundtrip(tmp_path, capsys):
     np.testing.assert_allclose(beta, [2.0, -1.0, 0.5], atol=0.05)
 
 
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, line_csv):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    for argv in (
+        ["simulate", "--n", "10", "--output", missing],
+        ["fit", "--input", line_csv, "--response", "y", "--output", missing],
+    ):
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert "input error: cannot write" in err
+        assert "Traceback" not in err
+
+
 def test_json_is_sorted_and_finite(capsys, line_csv):
     code, out, _ = _run(capsys, ["fit", "--input", line_csv, "--response", "y", "--intercept"])
     doc = json.loads(out)

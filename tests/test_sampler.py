@@ -32,16 +32,80 @@ def test_uniform_law_of_large_numbers():
     assert np.all(np.abs(freq - 0.25) < 0.01)
 
 
-def test_alias_table_matches_probabilities():
-    # reconstruct each cell's total mass from the table itself
-    rng = np.random.default_rng(8)
-    p = rng.dirichlet(np.ones(12))
+def _vose_loop(probs):
+    """Reference: the stack-based Vose loop, popping cells in descending index order."""
+    p = np.asarray(probs, dtype=np.float64)
+    n = p.shape[0]
+    accept = np.zeros(n)
+    alias = np.zeros(n, dtype=np.intp)
+    scaled = p * n
+    small = np.flatnonzero(scaled < 1.0).tolist()
+    large = np.flatnonzero(scaled >= 1.0).tolist()
+    while small and large:
+        s = small.pop()
+        big = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = big
+        scaled[big] -= 1.0 - scaled[s]
+        (small if scaled[big] < 1.0 else large).append(big)
+    for i in small + large:
+        accept[i] = 1.0
+        alias[i] = i
+    return accept, alias
+
+
+def _weights(kind, n, rng):
+    if kind == "uniform":
+        return np.ones(n)
+    if kind == "dirichlet":
+        return rng.dirichlet(np.full(n, 0.5))
+    if kind == "t2_squared":
+        return rng.standard_t(2, n) ** 2
+    if kind == "zeros":
+        w = rng.random(n)
+        w[rng.random(n) < 0.3] = 0.0
+        w[0] = 1.0
+        return w
+    return rng.integers(0, 5, n).astype(float) + (np.arange(n) == 0)  # integer-tied
+
+
+KINDS = ("uniform", "dirichlet", "t2_squared", "zeros", "tied")
+
+
+@pytest.mark.parametrize("kind,n", [(kind, 1000) for kind in KINDS] + [("uniform", 1)])
+def test_alias_table_law_matches_probabilities(kind, n):
+    # each cell's total mass, rebuilt from the table itself, is p
+    w = _weights(kind, n, np.random.default_rng(n))
+    p = w / w.sum()
     accept, alias = alias_table(p)
-    mass = accept / 12.0
-    for i in range(12):
-        if accept[i] < 1.0:
-            mass[alias[i]] += (1.0 - accept[i]) / 12.0
-    np.testing.assert_allclose(mass, p, atol=1e-12)
+    assert np.all((accept >= 0) & (accept <= 1))
+    mass = accept / n
+    np.add.at(mass, alias, (1.0 - accept) / n)
+    np.testing.assert_allclose(mass, p, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", KINDS[:4])
+def test_alias_table_matches_vose_loop(kind, seed):
+    rng = np.random.default_rng(seed)
+    w = _weights(kind, int(rng.integers(1, 2000)), rng)
+    p = w / w.sum()
+    accept, alias = alias_table(p)
+    ref_accept, ref_alias = _vose_loop(p)
+    assert np.array_equal(alias, ref_alias)
+    np.testing.assert_allclose(accept, ref_accept, rtol=0, atol=1e-10)
+
+
+def test_blev_draw_stream_is_pinned():
+    # the table's construction changed, the draws did not
+    data = generate_synthetic(t5_line_spec(1000), 5)
+    pv = compute_probabilities(data, "BLEV")
+    expected = [
+        241, 671, 92, 214, 317, 309, 908, 735, 915, 982, 78, 142, 866, 70, 165, 180, 913,
+        391, 263, 169, 405, 588, 742, 616, 986, 119, 487, 565, 687, 4, 234, 465, 66, 975,
+        641, 799, 515, 596, 344, 325, 129, 206, 766, 442, 826, 278, 720, 874, 829, 213,
+    ]
+    assert draw(pv, 50, 2024).indices.tolist() == expected
 
 
 def test_draw_determinism():

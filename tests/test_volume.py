@@ -128,6 +128,18 @@ def test_leveraged_rejection_path_tv():
     assert _tv(draws, oracle) <= 0.02
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_leveraged_rejection_is_scale_invariant(scale):
+    # the target distribution does not depend on a global row scale, and
+    # the log-space acceptance test neither overflows nor underflows
+    X = np.random.default_rng(3).standard_normal((200, 2))
+    base = volume_sample(Dataset(design=X, response=np.zeros(200)), 20, "leveraged", 5, size=30)
+    scaled = volume_sample(
+        Dataset(design=scale * X, response=np.zeros(200)), 20, "leveraged", 5, size=30
+    )
+    assert np.array_equal(scaled, base)
+
+
 def test_permutation_equivariance():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((6, 2))
