@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +78,47 @@ def parse_csv(path: str, config: RunConfig) -> Dataset:
     cell is reported with its file line and column name; a missing
     response column yields an all-zero response (the probability and
     selection subcommands never look at it).
+
+    A plain numeric file is read in one ``np.loadtxt`` pass. Anything
+    that pass rejects or doubts (quoted cells, ``1_000``-style numbers,
+    ragged or bad rows, values the log transform or the finiteness check
+    refuse) is re-read by ``_parse_rows``, so results and error messages
+    are those of the row-by-row reader.
     """
+    bulk = _parse_bulk(path, config)
+    if bulk is None:
+        return _parse_rows(path, config)
+    return _select(*bulk, config)
+
+
+def _parse_bulk(path: str, config: RunConfig) -> tuple[list[str], np.ndarray] | None:
+    """Header and preprocessed values of a clean file, else None."""
+    if config.drop_head_rows < 0:
+        return None
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            header = [h.strip() for h in next(csv.reader(fh))]
+            with warnings.catch_warnings():
+                # "input contained no data" becomes an exception: hand off
+                warnings.simplefilter("error", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (OSError, StopIteration, ValueError, UserWarning, csv.Error):
+        return None
+    values = values[config.drop_head_rows :]
+    if values.shape[1] != len(header) or values.shape[0] == 0:
+        return None
+    for name in config.log_columns:
+        j = _resolve_column(header, name)
+        if np.any(values[:, j] <= 0):
+            return None
+        values[:, j] = np.log(values[:, j])
+    if not np.all(np.isfinite(values)):
+        return None
+    return header, values
+
+
+def _parse_rows(path: str, config: RunConfig) -> Dataset:
+    """Row-by-row reader: ``float()`` per cell, errors named by line and column."""
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
@@ -85,19 +126,23 @@ def parse_csv(path: str, config: RunConfig) -> Dataset:
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path} is empty; a header row is required") from None
-        header = [h.strip() for h in header]
-        raw_rows: list[tuple[int, list[str]]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            raw_rows.append((lineno, row))
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path} is empty; a header row is required")
+            header = [h.strip() for h in header]
+            raw_rows: list[tuple[int, list[str]]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                raw_rows.append((lineno, row))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not valid UTF-8: {exc}") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
 
     if config.drop_head_rows < 0:
         raise ValidationError("drop_head_rows must be nonnegative")
@@ -132,13 +177,17 @@ def parse_csv(path: str, config: RunConfig) -> Dataset:
         raise ValidationError(
             f"{path} line {raw_rows[int(i)][0]}, column {header[int(j)]!r}: non-finite value"
         )
+    return _select(header, values, config)
 
+
+def _select(header: list[str], values: np.ndarray, config: RunConfig) -> Dataset:
+    """Split parsed values into the configured response and predictors."""
     if config.response_column is not None:
         resp_idx = _resolve_column(header, config.response_column)
         response = values[:, resp_idx]
     else:
         resp_idx = None
-        response = np.zeros(len(raw_rows))
+        response = np.zeros(values.shape[0])
 
     if config.predictor_columns is not None:
         pred_idx = [_resolve_column(header, c) for c in config.predictor_columns]
@@ -177,6 +226,10 @@ def _load_dataset(args, need_response: bool) -> Dataset:
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
+        # Python ints and finite floats encode the same either way; only
+        # non-finite floats need the walk that spells them as strings.
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)

@@ -17,7 +17,9 @@ Selection strategies:
   improves the criterion by more than a relative 1e-10.
 
 All ties are broken toward the lowest row index, so every routine is
-deterministic.
+deterministic. Candidates are ranked by the logarithm of the D-criterion,
+so selections do not depend on the column scale; the reported D value
+itself can still under- or overflow at extreme scales.
 """
 
 from __future__ import annotations
@@ -66,21 +68,33 @@ class SubsetSelection:
         return self.indices.shape[0]
 
 
-def _batched_criterion(grams: np.ndarray, criterion: str, p: int) -> np.ndarray:
-    """Criterion of the inverse of each (p x p) matrix; inf when singular."""
+def _batched_criterion(grams: np.ndarray, criterion: str, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranking key of the inverse of each (p x p) matrix, and which are singular.
+
+    The key is the criterion itself for A and E and its logarithm
+    ``-sum log(eigenvalue)`` for D, which neither under- nor overflows
+    at any column scale; it is inf where the matrix is singular.
+    """
     evals = np.linalg.eigvalsh(grams)
     max_ev = evals[..., -1]
     min_ev = evals[..., 0]
     singular = min_ev <= p * _EPS * np.maximum(max_ev, 0.0)
     safe = np.where(singular[..., None], 1.0, evals)
     if criterion == "A":
-        values = np.sum(1.0 / safe, axis=-1)
+        keys = np.sum(1.0 / safe, axis=-1)
     elif criterion == "D":
-        # log-determinant keeps products of eigenvalues from overflowing
-        values = np.exp(-np.sum(np.log(safe), axis=-1))
+        keys = -np.sum(np.log(safe), axis=-1)
     else:
-        values = 1.0 / safe[..., 0]
-    return np.where(singular, np.inf, values)
+        keys = 1.0 / safe[..., 0]
+    return np.where(singular, np.inf, keys), singular
+
+
+def _criterion_from_key(key: float, criterion: str) -> float:
+    """The reported criterion value; for D it under- or overflows at extreme scales."""
+    if criterion != "D":
+        return key
+    with np.errstate(over="ignore"):
+        return float(np.exp(key))
 
 
 def _check_indices(data: Dataset, indices) -> np.ndarray:
@@ -106,12 +120,12 @@ def criterion_value(data: Dataset, indices, criterion: str) -> float:
     if idx.size < data.p:
         raise ValidationError(f"need at least p={data.p} rows, got {idx.size}")
     rows = data.design[idx]
-    value = float(_batched_criterion(rows.T @ rows, criterion, data.p))
-    if math.isinf(value):
+    key, singular = _batched_criterion(rows.T @ rows, criterion, data.p)
+    if singular:
         raise SingularSubsetError(
             f"subset of size {idx.size} is rank deficient; criterion {criterion} is infinite"
         )
-    return value
+    return _criterion_from_key(float(key), criterion)
 
 
 def iboss_select(data: Dataset, r: int) -> SubsetSelection:
@@ -138,8 +152,8 @@ def iboss_select(data: Dataset, r: int) -> SubsetSelection:
             selected[take] = True
     idx = np.flatnonzero(selected)
     rows = data.design[idx]
-    value = float(_batched_criterion(rows.T @ rows, "D", p))
-    return SubsetSelection(indices=idx, criterion="IBOSS", value=value)
+    key, _ = _batched_criterion(rows.T @ rows, "D", p)
+    return SubsetSelection(indices=idx, criterion="IBOSS", value=_criterion_from_key(float(key), "D"))
 
 
 def greedy_select(data: Dataset, r: int, criterion: str) -> SubsetSelection:
@@ -178,14 +192,16 @@ def greedy_select(data: Dataset, r: int, criterion: str) -> SubsetSelection:
             pool = np.flatnonzero(available)
             cand = X[pool]
             grams = gram[None, :, :] + cand[:, :, None] * cand[:, None, :]
-            values = _batched_criterion(grams, criterion, p)
-            best = int(pool[np.argmin(values)])
+            keys, _ = _batched_criterion(grams, criterion, p)
+            best = int(pool[np.argmin(keys)])
         chosen.append(best)
         available[best] = False
         gram = gram + np.outer(X[best], X[best])
 
-    value = float(_batched_criterion(gram, criterion, p))
-    return SubsetSelection(indices=np.array(chosen), criterion=criterion, value=value)
+    key, _ = _batched_criterion(gram, criterion, p)
+    return SubsetSelection(
+        indices=np.array(chosen), criterion=criterion, value=_criterion_from_key(float(key), criterion)
+    )
 
 
 def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelection:
@@ -206,35 +222,44 @@ def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelecti
         raise ValidationError(f"need at least p={data.p} rows")
     X = data.design
     p = data.p
+    criterion = selection.criterion
     current = set(idx.tolist())
     gram = X[idx].T @ X[idx]
-    value = float(_batched_criterion(gram, selection.criterion, p))
-    if math.isinf(value):
+    key, singular = _batched_criterion(gram, criterion, p)
+    if singular:
         raise SingularSubsetError("exchange requires a full-rank starting subset")
+    key = float(key)
 
     while True:
         outside = np.array(sorted(set(range(data.n)) - current), dtype=np.intp)
         if outside.size == 0:
             break
         cand = X[outside]
-        best_value = value
+        best_key = key
         best_swap: tuple[int, int] | None = None
         for out_i in sorted(current):
             base = gram - np.outer(X[out_i], X[out_i])
             grams = base[None, :, :] + cand[:, :, None] * cand[:, None, :]
-            values = _batched_criterion(grams, selection.criterion, p)
-            k = int(np.argmin(values))
-            if values[k] < best_value:
-                best_value = float(values[k])
+            keys, _ = _batched_criterion(grams, criterion, p)
+            k = int(np.argmin(keys))
+            if keys[k] < best_key:
+                best_key = float(keys[k])
                 best_swap = (out_i, int(outside[k]))
-        if best_swap is None or best_value >= value * (1.0 - 1e-10):
+        # a relative 1e-10 improvement of the criterion, on its key
+        if criterion == "D":
+            threshold = key + math.log1p(-1e-10)
+        else:
+            threshold = key * (1.0 - 1e-10)
+        if best_swap is None or best_key >= threshold:
             break
         out_i, in_i = best_swap
         current.remove(out_i)
         current.add(in_i)
         gram = gram - np.outer(X[out_i], X[out_i]) + np.outer(X[in_i], X[in_i])
-        value = best_value
+        key = best_key
 
     return SubsetSelection(
-        indices=np.array(sorted(current)), criterion=selection.criterion, value=value
+        indices=np.array(sorted(current)),
+        criterion=criterion,
+        value=_criterion_from_key(key, criterion),
     )

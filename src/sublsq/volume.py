@@ -81,15 +81,18 @@ def _information(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray |
     return np.einsum("mri,mrj,mr->mij", rows, rows, scale[index_rows])
 
 
-def _gram_dets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """det of the p x p information matrix of each index row, chunked."""
+def _gram_logdets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """log det of the p x p information matrix of each index row, chunked.
+
+    Determinants of PSD matrices: a sign <= 0 is rounding noise at zero,
+    so those entries get -inf (mass 0).
+    """
     m = index_rows.shape[0]
     out = np.empty(m)
     for lo in range(0, m, _DET_CHUNK):
         hi = min(lo + _DET_CHUNK, m)
-        out[lo:hi] = np.linalg.det(_information(design, index_rows[lo:hi], scale))
-    # Determinants of PSD matrices; clear the rounding noise below zero.
-    np.clip(out, 0.0, None, out=out)
+        sign, logdet = np.linalg.slogdet(_information(design, index_rows[lo:hi], scale))
+        out[lo:hi] = np.where(sign > 0, logdet, -np.inf)
     return out
 
 
@@ -105,7 +108,8 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
 
     Requires p <= r <= n <= 20 and a full-rank design. The closed-form
     normalizer ``C(n-p, r-p) det(X'X)`` makes the masses sum to one
-    without numerical renormalization.
+    without numerical renormalization; masses are formed from
+    log-determinants, so no row scale over- or underflows them.
     """
     n, p = data.n, data.p
     if n > ENUMERATION_MAX_N:
@@ -119,12 +123,12 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     _require_full_rank(data, "standard volume sampling")
 
     subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
-    dets = _gram_dets(data.design, subsets)
-    gram_full = data.design.T @ data.design
-    denom = math.comb(n - p, r - p) * float(np.linalg.det(gram_full))
-    if denom <= 0:
+    logdets = _gram_logdets(data.design, subsets)
+    sign, log_full = np.linalg.slogdet(data.design.T @ data.design)
+    if sign <= 0:
         raise DegenerateDistributionError("full-design determinant is not positive")
-    return SubsetDistribution(subsets=subsets, masses=dets / denom)
+    log_denom = math.log(math.comb(n - p, r - p)) + float(log_full)
+    return SubsetDistribution(subsets=subsets, masses=np.exp(logdets - log_denom))
 
 
 def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
@@ -132,8 +136,8 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
 
     Mass of a sequence tau is proportional to
     ``det(sum_i x_{tau_i} x_{tau_i}' / q_{tau_i}) * prod_i q_{tau_i}`` with
-    ``q = leverage/p``; the constant is fixed numerically. Bounded by
-    ``n^r`` enumerated states.
+    ``q = leverage/p``; the constant is fixed numerically, in log space
+    relative to the largest weight. Bounded by ``n^r`` enumerated states.
     """
     n, p = data.n, data.p
     if r < p:
@@ -150,12 +154,13 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     m = n**r
     grid = np.unravel_index(np.arange(m), (n,) * r)
     sequences = np.stack(grid, axis=1).astype(np.intp)
-    weights = _gram_dets(data.design, sequences, scale=1.0 / q)
-    weights *= np.prod(q[sequences], axis=1)
-    total = float(weights.sum())
-    if total <= 0:
+    log_weights = _gram_logdets(data.design, sequences, scale=1.0 / q)
+    log_weights += np.log(q)[sequences].sum(axis=1)
+    top = float(log_weights.max())
+    if top == -math.inf:
         raise DegenerateDistributionError("all sequence determinants vanish")
-    return SubsetDistribution(subsets=sequences, masses=weights / total)
+    weights = np.exp(log_weights - top)
+    return SubsetDistribution(subsets=sequences, masses=weights / weights.sum())
 
 
 def _inverse_cdf(weights: np.ndarray):

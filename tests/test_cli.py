@@ -231,3 +231,45 @@ def test_json_is_sorted_and_finite(capsys, line_csv):
     doc = json.loads(out)
     assert list(doc) == sorted(doc)
     assert math.isfinite(doc["results"]["residual_ss"])
+
+
+HOSTILE_CSVS = {
+    "huge": b"a,b,y\n1e300,2,1\n-1e308,3,2\n1e307,1e-300,3\n5,7,1e308\n2,2,2\n",
+    "tiny": b"a,b,y\n1e-300,2e-300,1\n3e-310,1e-320,2\n5e-300,1e-300,3\n1e-305,4e-301,1\n",
+    "constant_column": b"a,b,y\n1,1,1\n1,2,2\n1,3,3\n1,4,4\n1,5,5\n",
+    "duplicate_columns": b"a,b,y\n1,1,1\n2,2,2\n3,3,3\n4,4,5\n",
+    "zero_rows": b"a,b,y\n0,0,0\n1,2,3\n0,0,1\n2,1,1\n3,5,2\n",
+    "all_zero": b"a,b,y\n0,0,0\n0,0,0\n0,0,0\n0,0,0\n",
+    "one_row": b"a,b,y\n1,2,3\n",
+    "mixed_scales": b"a,b,y\n1e200,1e-200,1\n1,1,1e200\n0,0,0\n-1e200,1e-200,1\n1,1,1\n",
+    "invalid_utf8": b"a,b,y\n1,2,3\n\xff,1,1\n",
+    "oversized_cell": b"a,b,y\n1,2,3\n" + b"1" * 200_000 + b",1,1\n",
+}
+HOSTILE_COMMANDS = (
+    [["fit"], ["fit", "--intercept"]]
+    + [["probs", "--scheme", s] for s in ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")]
+    + [["subsample", "--scheme", s, "--r", "4"] for s in ("BLEV", "IC", "PL")]
+    + [["select", "--method", m, "--r", "4", "--criterion", c]
+       for m in ("iboss", "greedy", "exchange", "volume-standard", "volume-leveraged")
+       for c in "ADE"]
+    + [["amse", "--scheme", s, "--r", "4"] for s in ("BLEV", "IC", "RL")]
+    + [["bench", "--reps", "3", "--r", "4"]]
+)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CSVS))
+def test_hostile_csv_never_crashes(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(HOSTILE_CSVS[name])
+    for argv in HOSTILE_COMMANDS:
+        code, _, err = _run(capsys, [*argv, "--input", str(path), "--response", "y"])
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+
+
+def test_invalid_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y\n1,2\n\xe9,3\n")
+    code, _, err = _run(capsys, ["fit", "--input", str(path), "--response", "y"])
+    assert code == 1
+    assert "not valid UTF-8" in err

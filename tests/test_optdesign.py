@@ -242,3 +242,16 @@ def test_scaling_leaves_argmin_unchanged():
         _, s1 = _brute_force_best(_design(X), 3, crit)
         _, s2 = _brute_force_best(_design(4.2 * X), 3, crit)
         assert s1 == s2
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e40])
+def test_d_selection_is_scale_invariant(scale):
+    # D is ranked by its logarithm: at these scales exp(-sum log lambda)
+    # over- or underflows, which once tied every candidate
+    X = np.random.default_rng(2).standard_normal((100, 8))
+    base = greedy_select(_design(X), 24, "D")
+    scaled = greedy_select(_design(scale * X), 24, "D")
+    assert np.array_equal(scaled.indices, base.indices)
+    improved = exchange_improve(_design(X), base)
+    assert improved.indices.tolist() != base.indices.tolist()
+    assert np.array_equal(exchange_improve(_design(scale * X), scaled).indices, improved.indices)

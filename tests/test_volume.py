@@ -192,3 +192,15 @@ def test_seeded_reproducibility():
     a = volume_sample(d, 3, "standard", 71, size=20)
     b = volume_sample(d, 3, "standard", 71, size=20)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_enumerated_masses_are_scale_invariant(scale):
+    # masses come from log-determinants, so neither det(X'X) nor a
+    # subset determinant over- or underflows
+    X = np.random.default_rng(5).standard_normal((8, 2))
+    for distribution in (standard_volume_distribution, leveraged_volume_distribution):
+        base = distribution(Dataset(design=X, response=np.zeros(8)), 3).masses
+        scaled = distribution(Dataset(design=scale * X, response=np.zeros(8)), 3).masses
+        np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-10)
+        assert abs(float(scaled.sum()) - 1.0) <= 1e-10
