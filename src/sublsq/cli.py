@@ -42,6 +42,7 @@ from .volume import volume_sample
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 12345
+_CSV_BLOCK_ROWS = 8192
 
 __all__ = ["RunConfig", "parse_csv", "main"]
 
@@ -479,14 +480,16 @@ def _run_simulate(args):
     data = bench_mod.generate_synthetic(spec, args.seed)
     if args.output is None:
         raise ValidationError("simulate requires --output for the CSV destination")
+    # repr of a float never contains a comma, quote or newline, so joined rows
+    # are the bytes csv.writer would write, without its per-cell calls. Blocks
+    # of rows keep the Python floats and text of the whole file out of memory.
     try:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"x{j + 1}" for j in range(data.p)] + ["y"])
-            for i in range(data.n):
-                writer.writerow(
-                    [repr(float(v)) for v in data.design[i]] + [repr(float(data.response[i]))]
-                )
+            fh.write(",".join([f"x{j + 1}" for j in range(data.p)] + ["y"]) + "\n")
+            for start in range(0, data.n, _CSV_BLOCK_ROWS):
+                block = slice(start, start + _CSV_BLOCK_ROWS)
+                rows = np.column_stack([data.design[block], data.response[block]]).tolist()
+                fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
     except OSError as exc:
         raise ValidationError(f"cannot write {args.output}: {exc}") from exc
     return {

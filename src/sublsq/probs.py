@@ -119,6 +119,7 @@ def compute_probabilities(
         return ProbabilityVector(_normalized(np.sqrt(lev), "root-leverage"), "RL")
 
     # IC: rows of X (X'X)^{-1} are the rows of U diag(1/s) V', and V' is
-    # orthogonal, so the norms come straight from the scaled U rows.
-    ic_raw = np.linalg.norm(U / s, axis=1)
+    # orthogonal, so the norms come straight from the scaled U rows. Scaling
+    # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column scale.
+    ic_raw = np.linalg.norm(U * (s[-1] / s), axis=1)
     return ProbabilityVector(_normalized(ic_raw, "inverse-covariance"), "IC")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sublsq.bench import DESIGN_FAMILIES, SyntheticSpec, generate_synthetic, t5_line_spec
 from sublsq.cli import RunConfig, main, parse_csv
 from sublsq.errors import ValidationError
 
@@ -85,6 +88,20 @@ def test_probs_blev_line_design(capsys, tmp_path):
     doc = json.loads(out)
     np.testing.assert_allclose(doc["results"]["probs"], [5 / 12, 1 / 6, 5 / 12], atol=1e-9)
     assert doc["results"]["scheme"] == "BLEV"
+
+
+def test_probs_ic_at_tiny_column_scale(capsys, tmp_path):
+    rows = ("1.5,2,-0.5", "3,-1,2.5", "-2,4,1", "0.5,1,3")
+    probs = {}
+    for suffix in ("", "e-300"):
+        text = "a,b,c\n" + "".join(
+            ",".join(v + suffix for v in row.split(",")) + "\n" for row in rows
+        )
+        path = _write(tmp_path / f"design{suffix}.csv", text)
+        code, out, err = _run(capsys, ["probs", "--input", path, "--scheme", "IC"])
+        assert code == 0, err
+        probs[suffix] = json.loads(out)["results"]["probs"]
+    np.testing.assert_allclose(probs["e-300"], probs[""], rtol=1e-12, atol=0)
 
 
 def test_exit_codes(capsys, tmp_path, line_csv):
@@ -212,6 +229,37 @@ def test_simulate_roundtrip(tmp_path, capsys):
     assert code == 0
     beta = json.loads(out)["results"]["beta"]
     np.testing.assert_allclose(beta, [2.0, -1.0, 0.5], atol=0.05)
+
+
+def _csv_writer_reference(data) -> bytes:
+    """The row-at-a-time csv.writer loop that simulate used to write with."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"x{j + 1}" for j in range(data.p)] + ["y"])
+    for i in range(data.n):
+        writer.writerow(
+            [repr(float(v)) for v in data.design[i]] + [repr(float(data.response[i]))]
+        )
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("family", DESIGN_FAMILIES)
+def test_simulate_writes_csv_writer_bytes(tmp_path, capsys, family):
+    # more rows than one write block, and a partial last block
+    n = 20_001
+    csv_path = tmp_path / "sim.csv"
+    argv = ["simulate", "--family", family, "--n", str(n), "--p", "3", "--seed", "4",
+            "--output", str(csv_path)]
+    if family == "student_t":
+        argv += ["--df", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    if family == "t5_line":
+        spec = t5_line_spec(n=n)
+    else:
+        spec = SyntheticSpec(n=n, p=3, design_family=family, beta0=(1.0,) * 3, noise_sd=1.0,
+                             df=3.0 if family == "student_t" else None)
+    assert csv_path.read_bytes() == _csv_writer_reference(generate_synthetic(spec, 4))
 
 
 def test_unwritable_output_is_an_input_error(capsys, tmp_path, line_csv):

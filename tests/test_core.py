@@ -4,10 +4,14 @@ import pytest
 from sublsq import (
     Dataset,
     ValidationError,
+    compute_probabilities,
+    core,
+    draw,
     leverage_scores,
     ols_fit,
     weighted_ls_fit,
 )
+from sublsq.bench import SyntheticSpec, generate_synthetic
 
 from conftest import gaussian_dataset
 
@@ -147,3 +151,75 @@ def test_results_are_frozen(line_dataset):
         fit.beta[0] = 99.0
     with pytest.raises(ValueError):
         line_dataset.design[0, 0] = 99.0
+
+
+def _student_t(seed, n, p):
+    return np.random.default_rng(seed).standard_t(5, size=(n, p))
+
+
+def _designed_condition(n, p, cond, seed=0):
+    rng = np.random.default_rng(seed)
+    A, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    B, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return (A * np.logspace(0, -np.log10(cond), p)) @ B
+
+
+CHOLESKY_PATH_DESIGNS = {
+    "student_t_p2": lambda: _student_t(2, 10_000, 2),
+    "student_t_p10": lambda: _student_t(10, 5_000, 10),
+    "student_t_p50": lambda: _student_t(50, 2_000, 50),
+    # one Cholesky pass leaves Q about 1e-8 from orthogonal here; two must not
+    "condition_1e4": lambda: _designed_condition(5_000, 10, 1e4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHOLESKY_PATH_DESIGNS))
+def test_cholesky_path_matches_lapack_svd(name):
+    X = CHOLESKY_PATH_DESIGNS[name]()
+    p = X.shape[1]
+    assert core._cholesky_qr2_svd(X) is not None
+    U, s, Vt, rank = core.thin_svd(X)
+    U0, s0, _ = np.linalg.svd(X, full_matrices=False)
+    assert rank == p
+    lev, lev0 = np.einsum("ij,ij->i", U, U), np.einsum("ij,ij->i", U0, U0)
+    np.testing.assert_allclose(lev, lev0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s, s0, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(U.T @ U, np.eye(p), rtol=0, atol=1e-13)
+    np.testing.assert_allclose((U * s) @ Vt, X, rtol=0, atol=1e-12 * np.abs(X).max())
+
+
+# The first four pass the size gate, so a guard must decline them.
+FALLBACK_DESIGNS = {
+    "duplicated_column": lambda: _student_t(1, 5_000, 4)[:, [0, 1, 2, 3, 3]],
+    "condition_1e8": lambda: _designed_condition(5_000, 5, 1e8),
+    "scale_1e200": lambda: _student_t(2, 5_000, 5) * 1e200,
+    "scale_1e-200": lambda: _student_t(3, 5_000, 5) * 1e-200,
+    "below_size_gate_1000x2": lambda: _student_t(4, 1_000, 2),
+    "below_size_gate_8191x2": lambda: _student_t(4, 8_191, 2),
+    "too_wide_500x200": lambda: _student_t(4, 500, 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_DESIGNS))
+def test_declined_designs_get_lapack_svd_bits(name):
+    X = FALLBACK_DESIGNS[name]()
+    assert core._cholesky_qr2_svd(X) is None
+    U, s, Vt, _ = core.thin_svd(X)
+    U0, s0, Vt0 = np.linalg.svd(X, full_matrices=False)
+    assert np.array_equal(U, U0) and np.array_equal(s, s0) and np.array_equal(Vt, Vt0)
+
+
+def test_blev_draws_on_cholesky_path_are_pinned():
+    # recorded before the Cholesky path existed, when gesdd factored this design
+    spec = SyntheticSpec(
+        n=20_000, p=5, design_family="student_t", beta0=(1.0,) * 5, noise_sd=1.0, df=5.0
+    )
+    data = generate_synthetic(spec, 11)
+    assert core._cholesky_qr2_svd(data.design) is not None
+    expected = [
+        4830, 13512, 1846, 4286, 6352, 6183, 18173, 15989, 18306, 19875, 1570, 2709, 17623,
+        1315, 3319, 3616, 18385, 7177, 5276, 3392, 9316, 11775, 16089, 12336, 19720, 1908,
+        9865, 11314, 13751, 92, 4051, 9302, 1116, 19512, 12830, 15988, 10310, 11936, 6902,
+        6506, 2371, 4018, 15335, 8854, 16520, 5560, 14418, 17499, 16591, 4263,
+    ]
+    assert draw(compute_probabilities(data, "BLEV"), 50, 2024).indices.tolist() == expected

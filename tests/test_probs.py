@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublsq import (
     Dataset,
@@ -8,6 +10,7 @@ from sublsq import (
     RankError,
     ValidationError,
     compute_probabilities,
+    core,
 )
 
 from conftest import gaussian_dataset
@@ -84,6 +87,32 @@ def test_scale_invariance(scheme):
     p1 = compute_probabilities(d, scheme, alpha).probs
     p2 = compute_probabilities(scaled, scheme, alpha).probs
     np.testing.assert_allclose(p1, p2, rtol=1e-9)
+
+
+# One design per factorization path: tall enough for the Cholesky QR path,
+# below its size gate, and too wide for it (n < 4p).
+SCALE_DESIGN_SHAPES = {
+    "cholesky_path": (4096, 4),
+    "below_size_gate": (300, 3),
+    "too_wide": (300, 80),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SCALE_DESIGN_SHAPES)),
+    exponent=st.floats(min_value=-100, max_value=100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_leverage_schemes_are_scale_invariant(kind, exponent, seed):
+    n, p = SCALE_DESIGN_SHAPES[kind]
+    X = np.random.default_rng(seed).standard_t(5, size=(n, p))
+    assert (core._cholesky_qr2_svd(X) is not None) == (kind == "cholesky_path")
+    c = 10.0**exponent
+    for scheme in ("BLEV", "SLEV", "IC", "RL"):
+        p1 = compute_probabilities(Dataset(design=X, response=np.zeros(n)), scheme).probs
+        p2 = compute_probabilities(Dataset(design=c * X, response=np.zeros(n)), scheme).probs
+        np.testing.assert_allclose(p2, p1, rtol=1e-12, atol=0)
 
 
 def test_orthonormal_coincidence():
