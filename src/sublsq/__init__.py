@@ -27,7 +27,6 @@ from .bench import (
 from .core import (
     Dataset,
     EstimateResult,
-    LeverageVector,
     leverage_scores,
     ols_fit,
     weighted_ls_fit,
@@ -68,7 +67,6 @@ __all__ = [
     "Dataset",
     "DegenerateDistributionError",
     "EstimateResult",
-    "LeverageVector",
     "NumericalError",
     "ProbabilityVector",
     "RankError",

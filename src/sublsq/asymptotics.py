@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ols_fit, thin_svd
+from .core import Dataset, full_rank_svd, ols_fit
 from .errors import RankError, ValidationError
 from .probs import ProbabilityVector
 
@@ -75,13 +75,6 @@ class RegularityDiagnostics:
     condition_ratio: float
 
 
-def _full_rank_svd(data: Dataset, what: str):
-    U, s, Vt, rank = thin_svd(data.design)
-    if rank < data.p:
-        raise RankError(f"{what} requires a full-column-rank design")
-    return U, s, Vt
-
-
 def _check_probs(probs: ProbabilityVector, n: int) -> np.ndarray:
     pi = probs.probs
     if pi.shape[0] != n:
@@ -106,7 +99,7 @@ def avar_matrix(
 ) -> AsymptoticVariance:
     """Asymptotic covariance of the weighted subsample estimator."""
     _check_scalars(r, sigma2)
-    U, s, Vt = _full_rank_svd(data, "the asymptotic variance")
+    U, s, Vt = full_rank_svd(data, "the asymptotic variance")
     pi = _check_probs(probs, data.n)
     # X (X'X)^{-1} = U diag(1/s) V', row i is (X'X)^{-1} x_i transposed.
     T = (U / s) @ Vt
@@ -133,7 +126,7 @@ def trace_amse(
     if target not in TARGETS:
         raise ValidationError(f"target must be one of {TARGETS}, got {target!r}")
     _check_scalars(r, sigma2)
-    U, s, _ = _full_rank_svd(data, "the asymptotic MSE")
+    U, s, _ = full_rank_svd(data, "the asymptotic MSE")
     pi = _check_probs(probs, data.n)
     if target == "beta":
         row_sq = np.einsum("ik,ik->i", U / s, U / s)

@@ -22,28 +22,27 @@ import numpy as np
 
 from .core import Dataset, ols_fit
 from .errors import SubLsqError, ValidationError
-from .optdesign import exchange_improve, greedy_select, iboss_select
-from .probs import DEFAULT_SLEV_ALPHA, compute_probabilities
+from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_select
+from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities, slev_alpha
 from .rng import SeedLike, derive_rng
 from .sampler import draw, subsample_estimate
 from .volume import volume_sample
 
 DESIGN_FAMILIES = ("gaussian", "student_t", "t5_line")
-REGISTERED_METHODS = (
-    "OLS",
-    "RAND",
-    "BLEV",
-    "SLEV",
-    "IC",
-    "RL",
-    "PL",
-    "IBOSS",
-    "GREEDY",
-    "EXCHANGE",
-    "VOL",
-    "LEVVOL",
-)
-_WEIGHTED_SCHEMES = ("BLEV", "SLEV", "IC", "RL", "PL")
+
+# Subset selection methods: name -> (data, r, seed, criterion) -> a SubsetSelection,
+# or for volume sampling an index array. Entries look their function up at call
+# time, so wrappers installed on this module see the calls.
+SELECTIONS = {
+    "IBOSS": lambda data, r, seed, criterion: iboss_select(data, r),
+    "GREEDY": lambda data, r, seed, criterion: greedy_select(data, r, criterion),
+    "EXCHANGE": lambda data, r, seed, criterion: exchange_improve(
+        data, greedy_select(data, r, criterion)
+    ),
+    "VOL": lambda data, r, seed, criterion: volume_sample(data, r, "standard", seed),
+    "LEVVOL": lambda data, r, seed, criterion: volume_sample(data, r, "leveraged", seed),
+}
+REGISTERED_METHODS = ("OLS",) + SCHEMES + tuple(SELECTIONS)
 
 DEFAULT_REPS = 100
 DEFAULT_R_MULTIPLES = (5, 10, 15, 20)
@@ -51,6 +50,7 @@ DEFAULT_R_MULTIPLES = (5, 10, 15, 20)
 __all__ = [
     "DESIGN_FAMILIES",
     "REGISTERED_METHODS",
+    "SELECTIONS",
     "DEFAULT_REPS",
     "DEFAULT_R_MULTIPLES",
     "SyntheticSpec",
@@ -171,28 +171,12 @@ def _method_beta(
 ) -> np.ndarray:
     if method == "OLS":
         return ols_fit(sample).beta
-    if method == "RAND":
-        pv = compute_probabilities(sample, "RAND")
-        return subsample_estimate(sample, draw(pv, r, seed_key), "plain").beta
-    if method in _WEIGHTED_SCHEMES:
+    if method in SCHEMES:
         pv = compute_probabilities(sample, method, alpha if method == "SLEV" else None)
-        return subsample_estimate(sample, draw(pv, r, seed_key), "weighted").beta
-    if method == "IBOSS":
-        sel = iboss_select(sample, r)
-        return ols_fit(sample.take_rows(sel.indices)).beta
-    if method == "GREEDY":
-        sel = greedy_select(sample, r, criterion)
-        return ols_fit(sample.take_rows(sel.indices)).beta
-    if method == "EXCHANGE":
-        sel = exchange_improve(sample, greedy_select(sample, r, criterion))
-        return ols_fit(sample.take_rows(sel.indices)).beta
-    if method == "VOL":
-        idx = volume_sample(sample, r, "standard", seed_key)
-        return ols_fit(sample.take_rows(idx)).beta
-    if method == "LEVVOL":
-        idx = volume_sample(sample, r, "leveraged", seed_key)
-        return ols_fit(sample.take_rows(idx)).beta
-    raise ValidationError(f"unknown method {method!r}")
+        mode = "plain" if method == "RAND" else "weighted"
+        return subsample_estimate(sample, draw(pv, r, seed_key), mode).beta
+    picked = SELECTIONS[method](sample, r, seed_key, criterion)
+    return ols_fit(sample.take_rows(getattr(picked, "indices", picked))).beta
 
 
 def run_emse(
@@ -222,6 +206,9 @@ def run_emse(
         raise ValidationError("reps must be at least 1")
     if workers < 1:
         raise ValidationError("workers must be at least 1")
+    alpha = slev_alpha(alpha)
+    if criterion not in CRITERIA:
+        raise ValidationError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
 
     beta_full = ols_fit(data).beta
     n = data.n

@@ -35,14 +35,21 @@ from .asymptotics import (
 )
 from .core import Dataset, ols_fit
 from .errors import NumericalError, ValidationError
-from .optdesign import exchange_improve, greedy_select, iboss_select
-from .probs import SCHEMES, compute_probabilities
+from .optdesign import CRITERIA, SubsetSelection
+from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities
 from .sampler import draw, subsample_estimate
-from .volume import volume_sample
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 12345
 _CSV_BLOCK_ROWS = 8192
+# `select --method` value -> its entry in the bench selection table.
+_SELECT_METHODS = {
+    "iboss": "IBOSS",
+    "greedy": "GREEDY",
+    "exchange": "EXCHANGE",
+    "volume-standard": "VOL",
+    "volume-leveraged": "LEVVOL",
+}
 
 __all__ = ["RunConfig", "parse_csv", "main"]
 
@@ -205,6 +212,14 @@ def _split_list(text: str | None) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _number_list(text: str, flag: str, kind: type) -> tuple:
+    """Comma-separated numbers of one flag; a bad item is an input error."""
+    try:
+        return tuple(kind(item) for item in _split_list(text))
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
+
+
 def _load_dataset(args, need_response: bool) -> Dataset:
     if args.input is None:
         raise ValidationError("--input is required for this subcommand")
@@ -285,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--method",
         required=True,
-        choices=("iboss", "greedy", "exchange", "volume-standard", "volume-leveraged"),
+        choices=tuple(_SELECT_METHODS),
     )
-    sp.add_argument("--criterion", choices=("A", "D", "E"), default="D")
+    sp.add_argument("--criterion", choices=CRITERIA, default="D")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -306,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", help="comma-separated subsample sizes (default 5p,10p,15p,20p)")
     sp.add_argument("--reps", type=int, default=bench_mod.DEFAULT_REPS)
     sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--criterion", choices=("A", "D", "E"), default="D")
+    sp.add_argument("--criterion", choices=CRITERIA, default="D")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--table", action="store_true", help="also print an aligned text table")
@@ -368,18 +383,14 @@ def _run_subsample(args):
 
 def _run_select(args):
     data = _load_dataset(args, need_response=False)
-    if args.method == "iboss":
-        sel = iboss_select(data, args.r)
-        return {"method": "iboss", "indices": sel.indices, "value": sel.value}
-    if args.method == "greedy":
-        sel = greedy_select(data, args.r, args.criterion)
-        return {"method": "greedy", "criterion": sel.criterion, "indices": sel.indices, "value": sel.value}
-    if args.method == "exchange":
-        sel = exchange_improve(data, greedy_select(data, args.r, args.criterion))
-        return {"method": "exchange", "criterion": sel.criterion, "indices": sel.indices, "value": sel.value}
-    variant = args.method.removeprefix("volume-")
-    idx = volume_sample(data, args.r, variant, args.seed)
-    return {"method": args.method, "indices": idx}
+    select = bench_mod.SELECTIONS[_SELECT_METHODS[args.method]]
+    picked = select(data, args.r, args.seed, args.criterion)
+    if not isinstance(picked, SubsetSelection):
+        return {"method": args.method, "indices": picked}
+    out = {"method": args.method, "indices": picked.indices, "value": picked.value}
+    if picked.criterion in CRITERIA:
+        out["criterion"] = picked.criterion
+    return out
 
 
 def _run_amse(args):
@@ -425,14 +436,14 @@ def _run_bench(args):
     else:
         data = _load_dataset(args, need_response=True)
     methods = _split_list(args.methods)
-    r_values = [int(v) for v in _split_list(args.r)] if args.r else bench_mod.default_r_grid(data.p)
+    r_values = _number_list(args.r, "--r", int) if args.r else bench_mod.default_r_grid(data.p)
     report = bench_mod.run_emse(
         data,
         methods,
         r_values,
         reps=args.reps,
         seed=args.seed,
-        alpha=args.alpha if args.alpha is not None else 0.9,
+        alpha=args.alpha if args.alpha is not None else DEFAULT_SLEV_ALPHA,
         criterion=args.criterion,
         workers=args.workers,
     )
@@ -464,11 +475,7 @@ def _run_simulate(args):
     if args.family == "t5_line":
         spec = bench_mod.t5_line_spec(n=args.n, noise_sd=args.noise_sd)
     else:
-        beta0 = (
-            tuple(float(v) for v in _split_list(args.beta0))
-            if args.beta0
-            else tuple(1.0 for _ in range(args.p))
-        )
+        beta0 = _number_list(args.beta0, "--beta0", float) if args.beta0 else (1.0,) * args.p
         spec = bench_mod.SyntheticSpec(
             n=args.n,
             p=args.p,

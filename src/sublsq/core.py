@@ -3,21 +3,22 @@
 Everything else in the package builds on these three operations. Fits are
 computed from a rank-revealing SVD solve and always return the minimum-norm
 solution, so rank-deficient designs degrade gracefully instead of raising.
-All functions are pure and thread-safe; returned arrays are frozen.
+Consumers that need a full-column-rank design factor it through
+``full_rank_svd``, which raises RankError otherwise. All functions are
+pure and thread-safe; returned arrays are frozen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import RankError, ValidationError
 
 __all__ = [
     "Dataset",
     "EstimateResult",
-    "LeverageVector",
     "ols_fit",
     "weighted_ls_fit",
     "leverage_scores",
@@ -97,22 +98,6 @@ class EstimateResult:
             raise ValidationError("residual_ss must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LeverageVector:
-    """Diagonal of the projection onto the design's column space.
-
-    For a full-column-rank design with n > p every score lies strictly in
-    (0, 1) except for rows orthogonal to the rest, and the scores sum to
-    the design rank (p when full rank).
-    """
-
-    scores: np.ndarray = field()
-
-    def __post_init__(self):
-        scores = _as_finite_array(self.scores, "scores", ndim=1)
-        object.__setattr__(self, "scores", _freeze(scores))
-
-
 def _rank_tolerance(s: np.ndarray, n: int, p: int) -> float:
     # Standard numerical-rank convention: cutoff relative to largest
     # singular value, scaled by the bigger matrix dimension.
@@ -173,6 +158,14 @@ def thin_svd(design: np.ndarray):
     return U, s, Vt, rank
 
 
+def full_rank_svd(data: Dataset, what: str):
+    """Thin SVD (U, s, Vt) of a full-column-rank design; RankError naming ``what`` otherwise."""
+    U, s, Vt, rank = thin_svd(data.design)
+    if rank < data.p:
+        raise RankError(f"{what} requires a full-column-rank design (rank {rank} < p={data.p})")
+    return U, s, Vt
+
+
 def _minimum_norm_solve(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-norm least-squares solution and the numerical rank used."""
     U, s, Vt, rank = thin_svd(design)
@@ -225,15 +218,15 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     )
 
 
-def leverage_scores(data: Dataset) -> LeverageVector:
-    """Leverage score of every row: the squared row norms of the
-    orthonormal column-space basis from the thin SVD.
+def leverage_scores(data: Dataset) -> np.ndarray:
+    """Leverage score of every row, as a frozen vector: the squared row
+    norms of the orthonormal column-space basis from the thin SVD.
 
-    For a full-rank design this equals ``x_i' (X'X)^{-1} x_i`` and the
-    scores sum to p.
+    Scores lie in [0, 1] and sum to the design rank. For a full-rank
+    design this equals ``x_i' (X'X)^{-1} x_i`` and the scores sum to p.
     """
     U, _, _, rank = thin_svd(data.design)
     scores = np.einsum("ij,ij->i", U[:, :rank], U[:, :rank])
     # Projection diagonals live in [0, 1]; shave off rounding overshoot.
     np.clip(scores, 0.0, 1.0, out=scores)
-    return LeverageVector(scores=scores)
+    return _freeze(scores)

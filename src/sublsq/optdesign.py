@@ -63,10 +63,6 @@ class SubsetSelection:
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
-    @property
-    def r(self) -> int:
-        return self.indices.shape[0]
-
 
 def _batched_criterion(grams: np.ndarray, criterion: str, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Ranking key of the inverse of each (p x p) matrix, and which are singular.

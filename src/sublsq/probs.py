@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, thin_svd
-from .errors import DegenerateDistributionError, RankError, ValidationError
+from .core import Dataset, full_rank_svd
+from .errors import DegenerateDistributionError, ValidationError
 
 SCHEMES = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")
 DEFAULT_SLEV_ALPHA = 0.9
@@ -65,6 +65,14 @@ def _normalized(raw: np.ndarray, what: str) -> np.ndarray:
     return raw / total
 
 
+def slev_alpha(alpha: float | None) -> float:
+    """The SLEV mixing weight: ``DEFAULT_SLEV_ALPHA`` for None, else in [0, 1]."""
+    alpha = DEFAULT_SLEV_ALPHA if alpha is None else float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
+
+
 def compute_probabilities(
     data: Dataset, scheme: str, alpha: float | None = None
 ) -> ProbabilityVector:
@@ -81,11 +89,9 @@ def compute_probabilities(
     if scheme != "SLEV" and alpha is not None:
         raise ValidationError("alpha is only meaningful for SLEV")
     if scheme == "SLEV":
-        alpha = DEFAULT_SLEV_ALPHA if alpha is None else float(alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
+        alpha = slev_alpha(alpha)
 
-    n, p = data.n, data.p
+    n = data.n
 
     if scheme == "RAND":
         return ProbabilityVector(np.full(n, 1.0 / n), "RAND")
@@ -94,11 +100,7 @@ def compute_probabilities(
         norms = np.linalg.norm(data.design, axis=1)
         return ProbabilityVector(_normalized(norms, "row-norm"), "PL")
 
-    U, s, _, rank = thin_svd(data.design)
-    if rank < p:
-        raise RankError(
-            f"scheme {scheme} requires a full-column-rank design (rank {rank} < p={p})"
-        )
+    U, s, _ = full_rank_svd(data, f"scheme {scheme}")
     # On a full-rank design a leverage score vanishes exactly when the row
     # is all zeros, and such rows would break the weighting later on.
     if np.any(~data.design.any(axis=1)):

@@ -18,7 +18,7 @@ bit-identical no matter where or when it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,9 +141,4 @@ def subsample_estimate(data: Dataset, draw: SubsampleDraw, mode: str) -> Estimat
         fit = ols_fit(sub)
     else:
         fit = weighted_ls_fit(sub, 1.0 / draw.draw_probs)
-    return EstimateResult(
-        beta=fit.beta,
-        method=f"subsample-{mode}",
-        rank=fit.rank,
-        residual_ss=fit.residual_ss,
-    )
+    return replace(fit, method=f"subsample-{mode}")

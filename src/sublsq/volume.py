@@ -23,11 +23,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Dataset, thin_svd
+from .core import Dataset, full_rank_svd
 from .errors import (
     CapacityError,
     DegenerateDistributionError,
-    RankError,
     SamplingError,
     ValidationError,
 )
@@ -96,11 +95,12 @@ def _gram_logdets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray 
     return out
 
 
-def _require_full_rank(data: Dataset, what: str) -> np.ndarray:
-    U, _, _, rank = thin_svd(data.design)
-    if rank < data.p:
-        raise RankError(f"{what} requires a full-column-rank design")
-    return np.einsum("ij,ij->i", U, U)
+def _leveraged_proposal(data: Dataset) -> np.ndarray:
+    """The i.i.d. proposal ``q = leverage/p`` of leveraged volume sampling."""
+    U, _, _ = full_rank_svd(data, "leveraged volume sampling")
+    if np.any(~data.design.any(axis=1)):
+        raise DegenerateDistributionError("leveraged volume requires nonzero rows")
+    return np.einsum("ij,ij->i", U, U) / data.p
 
 
 def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
@@ -120,7 +120,7 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
         raise ValidationError(f"subset size r={r} must be at least p={p}")
     if r > n:
         raise ValidationError(f"subset size r={r} exceeds n={n}")
-    _require_full_rank(data, "standard volume sampling")
+    full_rank_svd(data, "standard volume sampling")
 
     subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
     logdets = _gram_logdets(data.design, subsets)
@@ -146,10 +146,7 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
         raise CapacityError(
             f"sequence enumeration needs n^r <= {LEVERAGED_ENUMERATION_LIMIT}"
         )
-    lev = _require_full_rank(data, "leveraged volume sampling")
-    if np.any(~data.design.any(axis=1)):
-        raise DegenerateDistributionError("leveraged volume requires nonzero rows")
-    q = lev / p
+    q = _leveraged_proposal(data)
 
     m = n**r
     grid = np.unravel_index(np.arange(m), (n,) * r)
@@ -195,10 +192,7 @@ def _leveraged_rejection(
     runs in log space, so neither the bound nor a determinant over- or
     underflows at extreme row scales.
     """
-    lev = _require_full_rank(data, "leveraged volume sampling")
-    if np.any(~data.design.any(axis=1)):
-        raise DegenerateDistributionError("leveraged volume requires nonzero rows")
-    q = lev / data.p
+    q = _leveraged_proposal(data)
     row_sq = np.einsum("ij,ij->i", data.design, data.design)
     log_bound = data.p * math.log(r * float(np.max(row_sq / q)) / data.p)
 

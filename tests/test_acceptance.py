@@ -65,7 +65,7 @@ def test_criterion_1_leverage_trace_identity():
             n = int(rng.integers(12, 501))
             p = int(rng.integers(1, 11))
             X = rng.standard_normal((n, p))
-            scores = leverage_scores(Dataset(design=X, response=np.zeros(n))).scores
+            scores = leverage_scores(Dataset(design=X, response=np.zeros(n)))
             assert abs(scores.sum() - p) <= 1e-8
             assert np.all(scores > 0) and np.all(scores < 1)
 

@@ -10,7 +10,7 @@ from sublsq import (
     ols_fit,
     run_emse,
 )
-from sublsq.bench import DEFAULT_REPS, dataset_fingerprint
+from sublsq.bench import DEFAULT_REPS, REGISTERED_METHODS, dataset_fingerprint
 
 
 def _records_by_key(report):
@@ -169,3 +169,15 @@ def test_run_emse_validation():
         run_emse(data, ["RAND"], [1], reps=2, seed=0)
     with pytest.raises(ValidationError):
         run_emse(data, ["RAND"], [10], reps=0, seed=0)
+    # rejected up front, not counted as a failed replicate of every cell
+    with pytest.raises(ValidationError, match="alpha"):
+        run_emse(data, ["SLEV"], [4], reps=2, seed=0, alpha=-1)
+    with pytest.raises(ValidationError, match="criterion"):
+        run_emse(data, ["GREEDY"], [4], reps=2, seed=0, criterion="T")
+
+
+def test_registered_methods_keep_their_names_and_order():
+    assert REGISTERED_METHODS == (
+        "OLS", "RAND", "BLEV", "SLEV", "IC", "RL", "PL",
+        "IBOSS", "GREEDY", "EXCHANGE", "VOL", "LEVVOL",
+    )

@@ -194,6 +194,87 @@ def test_select_subcommands(capsys, tmp_path):
     assert len(json.loads(out)["results"]["indices"]) == 2
 
 
+SELECT_CSVS = {
+    "small": ["--family", "gaussian", "--n", "12", "--p", "2", "--seed", "7"],
+    "mid": ["--family", "student_t", "--df", "4", "--n", "300", "--p", "3", "--seed", "9"],
+}
+_WITH_CRITERION = ["criterion", "indices", "method", "value"]
+# `select` results recorded before the CLI ran its methods through the bench
+# selection table: (csv, --method, --criterion, --r) -> (result keys, indices).
+SELECT_PINS = {
+    ("mid", "iboss", "D", 12): (
+        ["indices", "method", "value"], [33, 71, 86, 88, 119, 129, 140, 163, 182, 219, 240, 289]
+    ),
+    ("mid", "greedy", "A", 12): (
+        _WITH_CRITERION, [80, 119, 129, 140, 163, 176, 182, 187, 198, 219, 240, 289]
+    ),
+    ("mid", "greedy", "D", 12): (
+        _WITH_CRITERION, [88, 119, 129, 140, 163, 176, 182, 187, 198, 219, 240, 289]
+    ),
+    ("mid", "greedy", "E", 12): (
+        _WITH_CRITERION, [30, 61, 63, 119, 140, 147, 160, 182, 198, 219, 225, 240]
+    ),
+    ("mid", "exchange", "A", 12): (
+        _WITH_CRITERION, [80, 119, 129, 140, 163, 176, 182, 187, 198, 219, 240, 289]
+    ),
+    ("mid", "exchange", "D", 12): (
+        _WITH_CRITERION, [88, 119, 129, 140, 163, 176, 182, 187, 198, 219, 240, 289]
+    ),
+    ("mid", "exchange", "E", 12): (
+        _WITH_CRITERION, [30, 88, 117, 119, 140, 176, 182, 187, 198, 219, 240, 289]
+    ),
+    ("small", "volume-standard", "D", 4): (["indices", "method"], [0, 3, 8, 10]),
+    ("small", "volume-leveraged", "D", 4): (["indices", "method"], [3, 6, 5, 8]),
+}
+
+
+@pytest.fixture(scope="module")
+def select_csvs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("select")
+    paths = {}
+    for name, flags in SELECT_CSVS.items():
+        paths[name] = str(root / f"{name}.csv")
+        assert main(["simulate", *flags, "--output", paths[name]]) == 0
+    return paths
+
+
+@pytest.mark.filterwarnings("ignore:leveraged volume sampling is tuned")
+@pytest.mark.parametrize("key", sorted(SELECT_PINS))
+def test_select_results_are_pinned(capsys, select_csvs, key):
+    name, method, criterion, r = key
+    code, out, _ = _run(capsys, [
+        "select", "--input", select_csvs[name], "--response", "y", "--method", method,
+        "--criterion", criterion, "--r", str(r), "--seed", "11",
+    ])
+    assert code == 0
+    results = json.loads(out)["results"]
+    keys, indices = SELECT_PINS[key]
+    assert sorted(results) == keys
+    assert results["indices"] == indices
+    assert results["method"] == method
+    if "criterion" in keys:
+        assert results["criterion"] == criterion
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--synthetic", "t5_line", "--r", "abc"], "--r"),
+    (["simulate", "--family", "gaussian", "--p", "2", "--beta0", "1,x"], "--beta0"),
+])
+def test_bad_list_flag_is_an_input_error(capsys, tmp_path, argv, flag):
+    code, _, err = _run(capsys, [*argv, "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert f"input error: {flag}" in err and "Traceback" not in err
+
+
+def test_bench_rejects_bad_alpha_before_running(capsys):
+    code, out, err = _run(capsys, [
+        "bench", "--synthetic", "t5_line", "--n", "50", "--reps", "2", "--r", "4",
+        "--methods", "SLEV", "--alpha", "2",
+    ])
+    assert code == 1 and out == ""
+    assert "input error: alpha must lie in [0, 1]" in err
+
+
 def test_amse_subcommand(capsys, tmp_path):
     rng = np.random.default_rng(0)
     rows = "\n".join(f"{a},{b},{a + b + c}" for a, b, c in rng.standard_normal((50, 3)))

@@ -3,14 +3,21 @@ import pytest
 
 from sublsq import (
     Dataset,
+    RankError,
     ValidationError,
+    avar_matrix,
     compute_probabilities,
     core,
     draw,
     leverage_scores,
+    leveraged_volume_distribution,
     ols_fit,
+    standard_volume_distribution,
+    trace_amse,
+    volume_sample,
     weighted_ls_fit,
 )
+from sublsq.asymptotics import TARGETS
 from sublsq.bench import SyntheticSpec, generate_synthetic
 
 from conftest import gaussian_dataset
@@ -90,7 +97,7 @@ def test_leverage_line_example(line_dataset):
     # oracle: the diagonal of X (X'X)^{-1} X' formed explicitly
     X = line_dataset.design
     H = X @ np.linalg.inv(X.T @ X) @ X.T
-    scores = leverage_scores(line_dataset).scores
+    scores = leverage_scores(line_dataset)
     np.testing.assert_allclose(scores, np.diag(H), atol=1e-12)
     np.testing.assert_allclose(scores, [5 / 6, 1 / 3, 5 / 6], atol=1e-12)
 
@@ -101,7 +108,7 @@ def test_leverage_univariate_formula():
     x = rng.standard_normal(25)
     d = Dataset(design=np.column_stack([np.ones(25), x]), response=np.zeros(25))
     expect = 1 / 25 + (x - x.mean()) ** 2 / np.sum((x - x.mean()) ** 2)
-    np.testing.assert_allclose(leverage_scores(d).scores, expect, atol=1e-12)
+    np.testing.assert_allclose(leverage_scores(d), expect, atol=1e-12)
 
 
 def test_leverage_sum_and_range():
@@ -110,7 +117,7 @@ def test_leverage_sum_and_range():
         n = int(rng.integers(5, 120))
         p = int(rng.integers(1, min(n, 8)))
         d = gaussian_dataset(seed + 1000, n, p)
-        scores = leverage_scores(d).scores
+        scores = leverage_scores(d)
         assert abs(scores.sum() - p) <= 1e-8
         assert np.all(scores > 0) and np.all(scores < 1)
 
@@ -120,7 +127,7 @@ def test_leverage_orthonormal_rows_equal():
     n, p = 8, 2
     blocks = np.vstack([np.eye(p)] * (n // p)) / np.sqrt(n // p)
     d = Dataset(design=blocks, response=np.zeros(n))
-    np.testing.assert_allclose(leverage_scores(d).scores, np.full(n, p / n), atol=1e-12)
+    np.testing.assert_allclose(leverage_scores(d), np.full(n, p / n), atol=1e-12)
 
 
 def test_residual_variance_identity_monte_carlo():
@@ -130,7 +137,7 @@ def test_residual_variance_identity_monte_carlo():
     n, p, sigma = 25, 3, 1.3
     X = rng.standard_normal((n, p))
     d = Dataset(design=X, response=np.zeros(n))
-    h = leverage_scores(d).scores
+    h = leverage_scores(d)
     H = X @ np.linalg.inv(X.T @ X) @ X.T
     eps = sigma * rng.standard_normal((40_000, n))
     resid = eps - eps @ H.T
@@ -223,3 +230,35 @@ def test_blev_draws_on_cholesky_path_are_pinned():
         6506, 2371, 4018, 15335, 8854, 16520, 5560, 14418, 17499, 16591, 4263,
     ]
     assert draw(compute_probabilities(data, "BLEV"), 50, 2024).indices.tolist() == expected
+
+
+def test_leverage_scores_is_a_frozen_vector(line_dataset):
+    scores = leverage_scores(line_dataset)
+    assert isinstance(scores, np.ndarray) and scores.shape == (3,)
+    assert not scores.flags.writeable
+
+
+def _uniform(data):
+    return compute_probabilities(data, "RAND")
+
+
+# Every consumer that needs a full-column-rank design, each through core.full_rank_svd.
+FULL_RANK_CONSUMERS = {
+    "avar_matrix": lambda d: avar_matrix(d, _uniform(d), 4, 1.0),
+    "standard_volume_distribution": lambda d: standard_volume_distribution(d, 2),
+    "leveraged_volume_distribution": lambda d: leveraged_volume_distribution(d, 2),
+    "volume_sample_rejection": lambda d: volume_sample(d, 2, "leveraged", 0, enumeration_limit=1),
+}
+for _s in ("BLEV", "SLEV", "IC", "RL"):
+    FULL_RANK_CONSUMERS[f"probs_{_s}"] = lambda d, s=_s: compute_probabilities(d, s)
+for _t in TARGETS:
+    FULL_RANK_CONSUMERS[f"trace_amse_{_t}"] = lambda d, t=_t: trace_amse(d, _uniform(d), 4, 1.0, t)
+
+
+@pytest.mark.filterwarnings("ignore:leveraged volume sampling is tuned")
+@pytest.mark.parametrize("name", sorted(FULL_RANK_CONSUMERS))
+def test_full_rank_consumers_reject_a_duplicated_column(name):
+    x = np.random.default_rng(5).standard_normal(8)
+    data = Dataset(design=np.column_stack([x, x]), response=np.zeros(8))
+    with pytest.raises(RankError, match=r"full-column-rank design \(rank 1 < p=2\)"):
+        FULL_RANK_CONSUMERS[name](data)
