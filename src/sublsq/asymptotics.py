@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, full_rank_svd, ols_fit
-from .errors import RankError, ValidationError
+from .errors import NumericalError, RankError, ValidationError
 from .probs import ProbabilityVector
 
 TARGETS = ("beta", "Xbeta", "XtXbeta")
@@ -48,6 +48,8 @@ class AsymptoticVariance:
         m = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix must be finite")
         scale = float(np.max(np.abs(m), initial=0.0))
         if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * max(scale, 1.0):
             raise ValidationError("matrix must be symmetric within 1e-10")
@@ -108,6 +110,8 @@ def avar_matrix(
     ginv = (Vt.T / (s * s)) @ Vt
     m = sigma2 * (ginv + second)
     m = 0.5 * (m + m.T)
+    if not np.isfinite(m).all():
+        raise NumericalError("the asymptotic variance over- or underflows at this column scale")
     return AsymptoticVariance(matrix=m, sigma2=float(sigma2), r=int(r))
 
 

@@ -21,7 +21,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -406,12 +406,7 @@ def _run_amse(args):
         "avar_trace": av.trace,
         "avar_matrix": av.matrix,
         "trace_amse": {t: trace_amse(data, pv, args.r, sigma2, t) for t in TARGETS},
-        "diagnostics": {
-            "lambda_min": diag.lambda_min,
-            "lambda_max": diag.lambda_max,
-            "pi_min": diag.pi_min,
-            "condition_ratio": diag.condition_ratio,
-        },
+        "diagnostics": asdict(diag),
     }
 
 
@@ -447,22 +442,11 @@ def _run_bench(args):
         criterion=args.criterion,
         workers=args.workers,
     )
-    records = []
-    for rec in report.records:
-        records.append(
-            {
-                "method": rec.method,
-                "r": rec.r,
-                "emse": rec.emse,
-                "emse_sd": rec.emse_sd,
-                "mean_time_ms": rec.mean_time_ms if args.timings else None,
-                "n_ok": rec.n_ok,
-                "n_failed": rec.n_failed,
-                "failed": rec.failed,
-            }
-        )
     results = {
-        "records": records,
+        "records": [
+            dict(asdict(rec), mean_time_ms=rec.mean_time_ms if args.timings else None)
+            for rec in report.records
+        ],
         "reps": report.reps,
         "seed": report.seed,
         "dataset_fingerprint": report.dataset_fingerprint,

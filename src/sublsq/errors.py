@@ -29,9 +29,9 @@ class RankError(NumericalError):
 
 
 class SingularSubsetError(NumericalError):
-    """Subset design is rank deficient, so the requested optimality
-    criterion of the inverse information matrix is infinite. Raised
-    instead of returning an overflowed float."""
+    """Subset Gram matrix is singular, or over- or underflows, so the
+    requested optimality criterion of its inverse is infinite or cannot be
+    computed. Raised instead of returning an inf or NaN value."""
 
 
 class DegenerateDistributionError(NumericalError):

@@ -17,9 +17,11 @@ Selection strategies:
   improves the criterion by more than a relative 1e-10.
 
 All ties are broken toward the lowest row index, so every routine is
-deterministic. Candidates are ranked by the logarithm of the D-criterion,
-so selections do not depend on the column scale; the reported D value
-itself can still under- or overflow at extreme scales.
+deterministic. Candidates are ranked by the logarithm of their criterion,
+so picks do not depend on the column scale while X'X stays in the normal
+floating-point range; a subset whose Gram matrix is singular or over- or
+underflows raises SingularSubsetError. The reported value can under- or
+overflow at extreme scales while the picks are right.
 """
 
 from __future__ import annotations
@@ -64,39 +66,48 @@ class SubsetSelection:
         object.__setattr__(self, "indices", idx)
 
 
-def _batched_criterion(grams: np.ndarray, criterion: str, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ranking key of the inverse of each (p x p) matrix, and which are singular.
+def _batched_criterion(grams: np.ndarray, criterion: str) -> np.ndarray:
+    """Log of the criterion of the inverse of each (p x p) matrix.
 
-    The key is the criterion itself for A and E and its logarithm
-    ``-sum log(eigenvalue)`` for D, which neither under- nor overflows
-    at any column scale; it is inf where the matrix is singular.
+    With eigenvalues l_1 <= ... <= l_p the keys are
+    ``-log l_1 + log sum_i exp(log l_1 - log l_i)`` for A, ``-sum log l_i``
+    for D and ``-log l_1`` for E, which neither under- nor overflow at any
+    column scale. It is inf where the matrix is singular, has NaN
+    eigenvalues or has a non-finite entry (LAPACK may not converge on those).
     """
-    evals = np.linalg.eigvalsh(grams)
-    max_ev = evals[..., -1]
-    min_ev = evals[..., 0]
-    singular = min_ev <= p * _EPS * np.maximum(max_ev, 0.0)
-    safe = np.where(singular[..., None], 1.0, evals)
+    finite = np.isfinite(grams).all(axis=(-2, -1))
+    evals = np.linalg.eigvalsh(np.where(finite[..., None, None], grams, 0.0))
+    singular = ~(evals[..., 0] > grams.shape[-1] * _EPS * np.maximum(evals[..., -1], 0.0))
+    logs = np.log(np.where(singular[..., None], 1.0, evals))
     if criterion == "A":
-        keys = np.sum(1.0 / safe, axis=-1)
+        keys = -logs[..., 0] + np.log(np.sum(np.exp(logs[..., :1] - logs), axis=-1))
     elif criterion == "D":
-        keys = -np.sum(np.log(safe), axis=-1)
+        keys = -np.sum(logs, axis=-1)
     else:
-        keys = 1.0 / safe[..., 0]
-    return np.where(singular, np.inf, keys), singular
+        keys = -logs[..., 0]
+    return np.where(singular, np.inf, keys)
 
 
-def _criterion_from_key(key: float, criterion: str) -> float:
-    """The reported criterion value; for D it under- or overflows at extreme scales."""
-    if criterion != "D":
-        return key
+def _subset_key(gram: np.ndarray, criterion: str) -> float:
+    """The key of one subset's Gram matrix, or SingularSubsetError."""
+    key = float(_batched_criterion(gram, criterion))
+    if key == np.inf:
+        raise SingularSubsetError(
+            f"subset Gram matrix is singular or over- or underflows; criterion {criterion} is infinite"
+        )
+    return key
+
+
+def _criterion_from_key(key: float) -> float:
+    """The reported criterion value; it under- or overflows at extreme scales."""
     with np.errstate(over="ignore"):
         return float(np.exp(key))
 
 
 def _check_indices(data: Dataset, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-    if idx.size == 0:
-        raise ValidationError("indices must be nonempty")
+    if idx.size < data.p:
+        raise ValidationError(f"need at least p={data.p} rows, got {idx.size}")
     if np.any(idx < 0) or np.any(idx >= data.n):
         raise ValidationError("indices out of range")
     if len(set(idx.tolist())) != idx.size:
@@ -107,21 +118,14 @@ def _check_indices(data: Dataset, indices) -> np.ndarray:
 def criterion_value(data: Dataset, indices, criterion: str) -> float:
     """Evaluate one optimality criterion on the subset design.
 
-    Raises SingularSubsetError when the subset is rank deficient (the
-    criterion is infinite there, which is not a numeric overflow).
+    Raises SingularSubsetError when the subset's Gram matrix is singular
+    or over- or underflows.
     """
     if criterion not in CRITERIA:
         raise ValidationError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     idx = _check_indices(data, indices)
-    if idx.size < data.p:
-        raise ValidationError(f"need at least p={data.p} rows, got {idx.size}")
     rows = data.design[idx]
-    key, singular = _batched_criterion(rows.T @ rows, criterion, data.p)
-    if singular:
-        raise SingularSubsetError(
-            f"subset of size {idx.size} is rank deficient; criterion {criterion} is infinite"
-        )
-    return _criterion_from_key(float(key), criterion)
+    return _criterion_from_key(_subset_key(rows.T @ rows, criterion))
 
 
 def iboss_select(data: Dataset, r: int) -> SubsetSelection:
@@ -148,8 +152,8 @@ def iboss_select(data: Dataset, r: int) -> SubsetSelection:
             selected[take] = True
     idx = np.flatnonzero(selected)
     rows = data.design[idx]
-    key, _ = _batched_criterion(rows.T @ rows, "D", p)
-    return SubsetSelection(indices=idx, criterion="IBOSS", value=_criterion_from_key(float(key), "D"))
+    value = _criterion_from_key(_subset_key(rows.T @ rows, "D"))
+    return SubsetSelection(indices=idx, criterion="IBOSS", value=value)
 
 
 def greedy_select(data: Dataset, r: int, criterion: str) -> SubsetSelection:
@@ -188,16 +192,14 @@ def greedy_select(data: Dataset, r: int, criterion: str) -> SubsetSelection:
             pool = np.flatnonzero(available)
             cand = X[pool]
             grams = gram[None, :, :] + cand[:, :, None] * cand[:, None, :]
-            keys, _ = _batched_criterion(grams, criterion, p)
+            keys = _batched_criterion(grams, criterion)
             best = int(pool[np.argmin(keys)])
         chosen.append(best)
         available[best] = False
         gram = gram + np.outer(X[best], X[best])
 
-    key, _ = _batched_criterion(gram, criterion, p)
-    return SubsetSelection(
-        indices=np.array(chosen), criterion=criterion, value=_criterion_from_key(float(key), criterion)
-    )
+    value = _criterion_from_key(_subset_key(gram, criterion))
+    return SubsetSelection(indices=np.array(chosen), criterion=criterion, value=value)
 
 
 def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelection:
@@ -214,17 +216,11 @@ def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelecti
             f"exchange needs an A/D/E selection, got criterion {selection.criterion!r}"
         )
     idx = _check_indices(data, selection.indices)
-    if idx.size < data.p:
-        raise ValidationError(f"need at least p={data.p} rows")
     X = data.design
-    p = data.p
     criterion = selection.criterion
     current = set(idx.tolist())
     gram = X[idx].T @ X[idx]
-    key, singular = _batched_criterion(gram, criterion, p)
-    if singular:
-        raise SingularSubsetError("exchange requires a full-rank starting subset")
-    key = float(key)
+    key = _subset_key(gram, criterion)
 
     while True:
         outside = np.array(sorted(set(range(data.n)) - current), dtype=np.intp)
@@ -236,17 +232,13 @@ def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelecti
         for out_i in sorted(current):
             base = gram - np.outer(X[out_i], X[out_i])
             grams = base[None, :, :] + cand[:, :, None] * cand[:, None, :]
-            keys, _ = _batched_criterion(grams, criterion, p)
+            keys = _batched_criterion(grams, criterion)
             k = int(np.argmin(keys))
             if keys[k] < best_key:
                 best_key = float(keys[k])
                 best_swap = (out_i, int(outside[k]))
-        # a relative 1e-10 improvement of the criterion, on its key
-        if criterion == "D":
-            threshold = key + math.log1p(-1e-10)
-        else:
-            threshold = key * (1.0 - 1e-10)
-        if best_swap is None or best_key >= threshold:
+        # a relative 1e-10 improvement of the criterion, on its log
+        if best_swap is None or best_key >= key + math.log1p(-1e-10):
             break
         out_i, in_i = best_swap
         current.remove(out_i)
@@ -257,5 +249,5 @@ def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelecti
     return SubsetSelection(
         indices=np.array(sorted(current)),
         criterion=criterion,
-        value=_criterion_from_key(key, criterion),
+        value=_criterion_from_key(key),
     )

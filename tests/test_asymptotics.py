@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from sublsq import (
+    AsymptoticVariance,
     Dataset,
+    NumericalError,
     ProbabilityVector,
     RankError,
     ValidationError,
@@ -172,6 +174,20 @@ def test_avar_validation():
     singular = Dataset(design=np.ones((6, 2)), response=np.zeros(6))
     with pytest.raises(RankError):
         avar_matrix(singular, ProbabilityVector(np.full(6, 1 / 6), "RAND"), 5, 1.0)
+
+
+def test_avar_rejects_non_finite_matrices():
+    with pytest.raises(ValidationError, match="finite"):
+        AsymptoticVariance(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0, 1)
+    with pytest.raises(ValidationError, match="finite"):
+        AsymptoticVariance(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0, 1)
+    # X'X underflows to the subnormal range, so (X'X)^{-1} overflows
+    tiny = Dataset(
+        design=np.array([[1e-300, 2e-300], [3e-310, 1e-320], [5e-300, 1e-300], [1e-305, 4e-301]]),
+        response=np.array([1.0, 2.0, 3.0, 1.0]),
+    )
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="over- or underflows"):
+        avar_matrix(tiny, compute_probabilities(tiny, "IC"), 4, 1.0)
 
 
 def test_uniform_scheme_monte_carlo_agreement():

@@ -396,6 +396,34 @@ def test_hostile_csv_never_crashes(capsys, tmp_path, name):
         assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["duplicate_columns", "huge", "mixed_scales", "tiny"])
+def test_select_on_a_singular_or_overflowing_gram_exits_2(capsys, tmp_path, name):
+    # these once exited 0 with an "inf" or "nan" value and arbitrary rows
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(HOSTILE_CSVS[name])
+    for method in ("iboss", "greedy", "exchange"):
+        for criterion in "ADE":
+            code, out, err = _run(capsys, [
+                "select", "--input", str(path), "--response", "y", "--method", method,
+                "--criterion", criterion, "--r", "4",
+            ])
+            assert code == 2 and out == "", (method, criterion)
+            assert "numerical failure" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_amse_on_tiny_values_exits_2(capsys, tmp_path):
+    # the asymptotic variance overflows here; it was once printed with NaN entries
+    path = tmp_path / "tiny.csv"
+    path.write_bytes(HOSTILE_CSVS["tiny"])
+    code, out, err = _run(capsys, [
+        "amse", "--input", str(path), "--scheme", "IC", "--r", "4", "--response", "y",
+    ])
+    assert code == 2 and out == ""
+    assert "numerical failure: the asymptotic variance over- or underflows" in err
+
+
 def test_invalid_utf8_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"x,y\n1,2\n\xe9,3\n")

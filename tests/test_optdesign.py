@@ -13,6 +13,7 @@ from sublsq import (
     greedy_select,
     iboss_select,
 )
+from sublsq.cli import main
 
 
 def _design(rows):
@@ -244,14 +245,56 @@ def test_scaling_leaves_argmin_unchanged():
         assert s1 == s2
 
 
-@pytest.mark.parametrize("scale", [1e-40, 1e40])
-def test_d_selection_is_scale_invariant(scale):
-    # D is ranked by its logarithm: at these scales exp(-sum log lambda)
-    # over- or underflows, which once tied every candidate
+@pytest.mark.parametrize("criterion", list("ADE"))
+@pytest.mark.parametrize("scale", [1e-155, 1e-40, 1e40])
+def test_selection_is_scale_invariant(scale, criterion):
+    # every criterion is ranked by its logarithm: at these scales the
+    # criterion itself over- or underflows (1/lambda overflows at 1e-155),
+    # which once tied or reordered the candidates
     X = np.random.default_rng(2).standard_normal((100, 8))
-    base = greedy_select(_design(X), 24, "D")
-    scaled = greedy_select(_design(scale * X), 24, "D")
+    base = greedy_select(_design(X), 24, criterion)
+    scaled = greedy_select(_design(scale * X), 24, criterion)
     assert np.array_equal(scaled.indices, base.indices)
     improved = exchange_improve(_design(X), base)
     assert improved.indices.tolist() != base.indices.tolist()
     assert np.array_equal(exchange_improve(_design(scale * X), scaled).indices, improved.indices)
+
+
+_X12 = np.random.default_rng(3).standard_normal((12, 2))
+SINGULAR_GRAM_DESIGNS = {
+    "duplicate_column": np.column_stack([_X12[:, 0], _X12[:, 0]]),
+    # LAPACK does not converge on this X'X, whose entries overflow
+    "overflowing_gram": 1e160 * np.random.default_rng(3).standard_normal((24, 4)),
+    "tiny": np.array([[1e-300, 2e-300], [3e-310, 1e-320], [5e-300, 1e-300], [1e-305, 4e-301]]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(SINGULAR_GRAM_DESIGNS))
+def test_singular_or_overflowing_gram_raises(name, tmp_path, capsys):
+    # these once returned an "inf" or "nan" value with arbitrary rows
+    X = SINGULAR_GRAM_DESIGNS[name]
+    d = _design(X)
+    r = 2 * d.p
+    with pytest.raises(SingularSubsetError):
+        iboss_select(d, r)
+    for crit in "ADE":
+        with pytest.raises(SingularSubsetError):
+            criterion_value(d, range(r), crit)
+        with pytest.raises(SingularSubsetError):
+            greedy_select(d, r, crit)
+        start = SubsetSelection(indices=np.arange(r), criterion=crit, value=1.0)
+        with pytest.raises(SingularSubsetError):
+            exchange_improve(d, start)
+
+    path = tmp_path / f"{name}.csv"
+    header = ",".join(f"x{j}" for j in range(d.p)) + ",y"
+    rows = [",".join(repr(float(v)) for v in row) + ",1" for row in X]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    for method in ("iboss", "greedy", "exchange"):
+        for crit in "ADE":
+            code = main(["select", "--input", str(path), "--response", "y", "--method", method,
+                         "--criterion", crit, "--r", str(r)])
+            out = capsys.readouterr()
+            assert code == 2 and out.out == "", (method, crit)
+            assert "numerical failure" in out.err
