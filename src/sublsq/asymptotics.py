@@ -6,9 +6,11 @@ For a weighted subsample least-squares estimator drawn with probabilities
     sigma^2 (X'X)^{-1} + sigma^2 (X'X)^{-1} X' Omega X (X'X)^{-1},
 
 with ``Omega = diag(1 / (r pi_i))``: the first part is the full-sample OLS
-variance, the second the price of subsampling. ``trace_amse`` evaluates the
-matching scalar asymptotic MSE for three estimation targets (coefficients,
-fitted line, moment vector); each target's second term is minimized by the
+variance, the second the price of subsampling. Over the thin SVD X = U S V'
+it is ``sigma^2 A (I + U' Omega U) A'`` with ``A = V S^{-1}``, and
+``trace_amse`` is ``sigma^2 sum_k s_k^e (1 + sum_i U_ik^2 Omega_ii)`` with
+e = -2, 0, 2 for the coefficients (the trace above), the fitted line and
+the moment vector. Each target's second term is minimized by the
 probability vector proportional to the corresponding per-row norm (IC, RL,
 PL respectively), which is the property the tests pin down.
 """
@@ -23,7 +25,9 @@ from .core import Dataset, full_rank_svd, ols_fit
 from .errors import NumericalError, RankError, ValidationError
 from .probs import ProbabilityVector
 
-TARGETS = ("beta", "Xbeta", "XtXbeta")
+# Power of the singular values that weighs each direction in trace_amse.
+_TARGET_EXPONENTS = {"beta": -2, "Xbeta": 0, "XtXbeta": 2}
+TARGETS = tuple(_TARGET_EXPONENTS)
 
 __all__ = [
     "TARGETS",
@@ -102,13 +106,9 @@ def avar_matrix(
     """Asymptotic covariance of the weighted subsample estimator."""
     _check_scalars(r, sigma2)
     U, s, Vt = full_rank_svd(data, "the asymptotic variance")
-    pi = _check_probs(probs, data.n)
-    # X (X'X)^{-1} = U diag(1/s) V', row i is (X'X)^{-1} x_i transposed.
-    T = (U / s) @ Vt
-    omega = 1.0 / (r * pi)
-    second = T.T @ (T * omega[:, None])
-    ginv = (Vt.T / (s * s)) @ Vt
-    m = sigma2 * (ginv + second)
+    omega = 1.0 / (r * _check_probs(probs, data.n))
+    A = Vt.T / s
+    m = sigma2 * (A @ (np.eye(data.p) + U.T @ (U * omega[:, None])) @ A.T)
     m = 0.5 * (m + m.T)
     if not np.isfinite(m).all():
         raise NumericalError("the asymptotic variance over- or underflows at this column scale")
@@ -131,17 +131,12 @@ def trace_amse(
         raise ValidationError(f"target must be one of {TARGETS}, got {target!r}")
     _check_scalars(r, sigma2)
     U, s, _ = full_rank_svd(data, "the asymptotic MSE")
-    pi = _check_probs(probs, data.n)
-    if target == "beta":
-        row_sq = np.einsum("ik,ik->i", U / s, U / s)
-        leading = float(np.sum(1.0 / (s * s)))
-    elif target == "Xbeta":
-        row_sq = np.einsum("ik,ik->i", U, U)
-        leading = float(data.p)
-    else:
-        row_sq = np.einsum("ij,ij->i", data.design, data.design)
-        leading = float(np.sum(s * s))
-    return sigma2 * leading + (sigma2 / r) * float(np.sum(row_sq / pi))
+    omega = 1.0 / (r * _check_probs(probs, data.n))
+    per_direction = 1.0 + np.einsum("ik,ik,i->k", U, U, omega)
+    value = sigma2 * float(s ** _TARGET_EXPONENTS[target] @ per_direction)
+    if not np.isfinite(value):
+        raise NumericalError("the asymptotic MSE over- or underflows at this column scale")
+    return value
 
 
 def sigma2_estimate(data: Dataset) -> float:
@@ -172,7 +167,8 @@ def regularity_diagnostics(
     pi = probs.probs
     if pi.shape[0] != data.n:
         raise ValidationError("probability vector length does not match the dataset")
-    ratio = lambda_max / lambda_min if lambda_min > 0 else np.inf
+    # From s, not from lam: s*s/n underflows long before s[0]/s[-1] does.
+    ratio = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
     return RegularityDiagnostics(
         lambda_min=lambda_min,
         lambda_max=lambda_max,

@@ -185,7 +185,7 @@ def run_emse(
     r_values,
     reps: int = DEFAULT_REPS,
     seed: SeedLike = 0,
-    alpha: float = DEFAULT_SLEV_ALPHA,
+    alpha: float | None = DEFAULT_SLEV_ALPHA,
     criterion: str = "D",
     workers: int = 1,
 ) -> BenchmarkReport:
@@ -245,9 +245,8 @@ def run_emse(
             ok = [v for v in sq if v is not None]
             n_failed = reps - len(ok)
             failed = 2 * n_failed > reps
-            if failed or not ok:
+            if failed:
                 emse, sd = float("nan"), float("nan")
-                failed = True
             else:
                 emse = float(np.mean(ok))
                 sd = float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0

@@ -36,7 +36,7 @@ from .asymptotics import (
 from .core import Dataset, ols_fit
 from .errors import NumericalError, ValidationError
 from .optdesign import CRITERIA, SubsetSelection
-from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities
+from .probs import SCHEMES, compute_probabilities
 from .sampler import draw, subsample_estimate
 
 SCHEMA_VERSION = "1"
@@ -438,7 +438,7 @@ def _run_bench(args):
         r_values,
         reps=args.reps,
         seed=args.seed,
-        alpha=args.alpha if args.alpha is not None else DEFAULT_SLEV_ALPHA,
+        alpha=args.alpha,
         criterion=args.criterion,
         workers=args.workers,
     )

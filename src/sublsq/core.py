@@ -80,14 +80,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """A fitted coefficient vector with method metadata and fit diagnostics.
+    """A fitted coefficient vector with fit diagnostics.
 
     ``rank`` is the effective rank of the design actually used; a value
     below p flags that the fit fell back to the minimum-norm solution.
     """
 
     beta: np.ndarray
-    method: str
     rank: int
     residual_ss: float
 
@@ -186,7 +185,6 @@ def ols_fit(data: Dataset) -> EstimateResult:
     resid = data.response - data.design @ beta
     return EstimateResult(
         beta=beta,
-        method="OLS",
         rank=rank,
         residual_ss=float(resid @ resid),
     )
@@ -212,7 +210,6 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     resid = data.response - data.design @ beta
     return EstimateResult(
         beta=beta,
-        method="WLS",
         rank=rank,
         residual_ss=float(w @ (resid * resid)),
     )

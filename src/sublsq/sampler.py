@@ -18,7 +18,7 @@ bit-identical no matter where or when it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,7 +138,5 @@ def subsample_estimate(data: Dataset, draw: SubsampleDraw, mode: str) -> Estimat
         raise ValidationError("draw indices out of range for this dataset")
     sub = data.take_rows(draw.indices)
     if mode == "plain":
-        fit = ols_fit(sub)
-    else:
-        fit = weighted_ls_fit(sub, 1.0 / draw.draw_probs)
-    return replace(fit, method=f"subsample-{mode}")
+        return ols_fit(sub)
+    return weighted_ls_fit(sub, 1.0 / draw.draw_probs)

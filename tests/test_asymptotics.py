@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublsq import (
     AsymptoticVariance,
@@ -17,6 +19,8 @@ from sublsq import (
     subsample_estimate,
     trace_amse,
 )
+from sublsq.asymptotics import TARGETS
+from sublsq.probs import SCHEMES
 from sublsq.rng import derive_rng
 
 from conftest import gaussian_dataset
@@ -48,12 +52,61 @@ def test_avar_is_symmetric_psd_and_monotone_in_r():
     assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
 
 
-def test_trace_amse_uniform_identity():
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_trace_amse_beta_is_the_avar_trace(scheme):
     d = gaussian_dataset(3, 60, 3)
-    pv = compute_probabilities(d, "RAND")
+    pv = compute_probabilities(d, scheme)
     assert trace_amse(d, pv, 12, 1.7, "beta") == pytest.approx(
-        avar_matrix(d, pv, 12, 1.7).trace, rel=1e-12
+        avar_matrix(d, pv, 12, 1.7).trace, rel=1e-13
     )
+
+
+def _design_with_condition(seed, n, p, cond):
+    # known orthonormal bases on both sides, so the singular values are exact inputs
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    W, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    X = (Q * np.geomspace(1.0, 1.0 / cond, p)) @ W.T
+    return Dataset(design=X, response=rng.standard_normal(n))
+
+
+def _per_row_trace_amse(d, pv, r, sigma2, target):
+    # each target's fixed trace plus (sigma2/r) * sum_i norm_i / pi_i
+    U, s, _ = np.linalg.svd(d.design, full_matrices=False)
+    if target == "beta":
+        row_sq, leading = np.sum((U / s) ** 2, axis=1), np.sum(1.0 / s**2)
+    elif target == "Xbeta":
+        row_sq, leading = np.sum(U**2, axis=1), d.p
+    else:
+        row_sq, leading = np.sum(d.design**2, axis=1), np.sum(s**2)
+    return sigma2 * leading + (sigma2 / r) * np.sum(row_sq / pv.probs)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e6])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("target", TARGETS)
+def test_trace_amse_matches_per_row_formulas(target, scheme, cond):
+    d = _design_with_condition(21, 200, 4, cond)
+    pv = compute_probabilities(d, scheme)
+    assert trace_amse(d, pv, 30, 1.3, target) == pytest.approx(
+        _per_row_trace_amse(d, pv, 30, 1.3, target), rel=1e-13
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent=st.floats(min_value=-100, max_value=100))
+def test_amse_is_scale_covariant(exponent):
+    c = 10.0**exponent
+    d = gaussian_dataset(22, 50, 3)
+    scaled = Dataset(design=c * d.design, response=d.response)
+    pv = compute_probabilities(d, "IC")
+    for target, power in (("beta", -2), ("Xbeta", 0), ("XtXbeta", 2)):
+        assert trace_amse(scaled, pv, 10, 1.5, target) == pytest.approx(
+            c**power * trace_amse(d, pv, 10, 1.5, target), rel=1e-12
+        )
+    m = avar_matrix(d, pv, 10, 1.5).matrix
+    m_scaled = avar_matrix(scaled, pv, 10, 1.5).matrix
+    np.testing.assert_allclose(c**2 * m_scaled, m, rtol=0, atol=1e-12 * np.abs(m).max())
 
 
 def _random_simplex(rng, n):
@@ -188,6 +241,31 @@ def test_avar_rejects_non_finite_matrices():
     )
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="over- or underflows"):
         avar_matrix(tiny, compute_probabilities(tiny, "IC"), 4, 1.0)
+
+
+def _tiny_and_rescaled():
+    # X'X underflows to the subnormal range; the same design scaled by 1e300 does not
+    X = np.array([[1e-300, 2e-300], [3e-310, 1e-320], [5e-300, 1e-300], [1e-305, 4e-301]])
+    y = np.array([1.0, 2.0, 3.0, 1.0])
+    return Dataset(design=X, response=y), Dataset(design=1e300 * X, response=y)
+
+
+def test_trace_amse_raises_where_it_overflows_and_is_scale_free_for_the_line():
+    tiny, rescaled = _tiny_and_rescaled()
+    pv = compute_probabilities(rescaled, "IC")
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="over- or underflows"):
+        trace_amse(tiny, pv, 4, 1.0, "beta")
+    assert trace_amse(tiny, pv, 4, 1.0, "Xbeta") == pytest.approx(
+        trace_amse(rescaled, pv, 4, 1.0, "Xbeta"), rel=1e-12
+    )
+
+
+def test_condition_ratio_survives_an_underflowing_gram():
+    tiny, rescaled = _tiny_and_rescaled()
+    pv = compute_probabilities(rescaled, "RAND")
+    ratio = regularity_diagnostics(tiny, pv, 4).condition_ratio
+    assert np.isfinite(ratio)
+    assert ratio == pytest.approx(regularity_diagnostics(rescaled, pv, 4).condition_ratio, rel=1e-12)
 
 
 def test_uniform_scheme_monte_carlo_agreement():
