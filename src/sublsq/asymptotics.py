@@ -108,8 +108,9 @@ def avar_matrix(
     U, s, Vt = full_rank_svd(data, "the asymptotic variance")
     omega = 1.0 / (r * _check_probs(probs, data.n))
     A = Vt.T / s
-    m = sigma2 * (A @ (np.eye(data.p) + U.T @ (U * omega[:, None])) @ A.T)
-    m = 0.5 * (m + m.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        m = sigma2 * (A @ (np.eye(data.p) + U.T @ (U * omega[:, None])) @ A.T)
+        m = 0.5 * (m + m.T)
     if not np.isfinite(m).all():
         raise NumericalError("the asymptotic variance over- or underflows at this column scale")
     return AsymptoticVariance(matrix=m, sigma2=float(sigma2), r=int(r))
@@ -133,8 +134,10 @@ def trace_amse(
     U, s, _ = full_rank_svd(data, "the asymptotic MSE")
     omega = 1.0 / (r * _check_probs(probs, data.n))
     per_direction = 1.0 + np.einsum("ik,ik,i->k", U, U, omega)
-    value = sigma2 * float(s ** _TARGET_EXPONENTS[target] @ per_direction)
-    if not np.isfinite(value):
+    with np.errstate(over="ignore"):  # checked right below
+        value = sigma2 * float(s ** _TARGET_EXPONENTS[target] @ per_direction)
+    # positive by construction: zero means it underflowed
+    if not 0.0 < value < np.inf:
         raise NumericalError("the asymptotic MSE over- or underflows at this column scale")
     return value
 

@@ -260,6 +260,15 @@ def test_trace_amse_raises_where_it_overflows_and_is_scale_free_for_the_line():
     )
 
 
+def test_trace_amse_raises_where_it_underflows():
+    # the moment-vector AMSE is about 1e-600 here; it once came back as 0.0
+    tiny, rescaled = _tiny_and_rescaled()
+    pv = compute_probabilities(rescaled, "IC")
+    assert trace_amse(rescaled, pv, 4, 1.0, "XtXbeta") > 0
+    with pytest.raises(NumericalError, match="over- or underflows"):
+        trace_amse(tiny, pv, 4, 1.0, "XtXbeta")
+
+
 def test_condition_ratio_survives_an_underflowing_gram():
     tiny, rescaled = _tiny_and_rescaled()
     pv = compute_probabilities(rescaled, "RAND")

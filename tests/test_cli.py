@@ -396,6 +396,17 @@ def test_hostile_csv_never_crashes(capsys, tmp_path, name):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", sorted(HOSTILE_CSVS))
+def test_hostile_csv_raises_no_runtime_warning(capsys, tmp_path, recwarn, name):
+    # numpy once printed overflow warnings, with a source line each, before the error message
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(HOSTILE_CSVS[name])
+    for argv in HOSTILE_COMMANDS:
+        if argv[0] == "amse" or argv[0] == "select" and argv[2] in ("iboss", "greedy", "exchange"):
+            _run(capsys, [*argv, "--input", str(path), "--response", "y"])
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["duplicate_columns", "huge", "mixed_scales", "tiny"])
 def test_select_on_a_singular_or_overflowing_gram_exits_2(capsys, tmp_path, name):

@@ -1,7 +1,10 @@
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublsq import (
     Dataset,
@@ -14,6 +17,15 @@ from sublsq import (
     iboss_select,
 )
 from sublsq.cli import main
+from sublsq import optdesign
+from sublsq.optdesign import (
+    _batched_criterion,
+    _best_swap,
+    _grown_keys,
+    _inverse_factor,
+    _subset_key,
+    _swap_keys,
+)
 
 
 def _design(rows):
@@ -298,3 +310,173 @@ def test_singular_or_overflowing_gram_raises(name, tmp_path, capsys):
             out = capsys.readouterr()
             assert code == 2 and out.out == "", (method, crit)
             assert "numerical failure" in out.err
+
+
+def _reference_greedy(X, r, criterion):
+    """greedy_select as it was before the closed forms: after the span phase,
+    every enlarged Gram matrix of the unscaled design scored by its eigenvalues."""
+    n, p = X.shape
+    chosen = []
+    available = np.ones(n, dtype=bool)
+    basis = np.zeros((p, 0))
+    gram = np.zeros((p, p))
+    residual_tol = max(n, p) * np.finfo(float).eps * float(np.max(np.einsum("ij,ij->i", X, X)))
+    while len(chosen) < r:
+        if basis.shape[1] < p:
+            resid = X - (X @ basis) @ basis.T
+            scores = np.einsum("ij,ij->i", resid, resid)
+            scores[~available] = -np.inf
+            best = int(np.argmax(scores))
+            if scores[best] > residual_tol:
+                basis = np.column_stack([basis, resid[best] / np.linalg.norm(resid[best])])
+        else:
+            pool = np.flatnonzero(available)
+            cand = X[pool]
+            grams = gram[None, :, :] + cand[:, :, None] * cand[:, None, :]
+            keys = _batched_criterion(grams, criterion)
+            best = int(pool[np.argmin(keys)])
+        chosen.append(best)
+        available[best] = False
+        gram = gram + np.outer(X[best], X[best])
+    return sorted(chosen), math.exp(_subset_key(gram, criterion))
+
+
+def _reference_exchange(X, indices, criterion):
+    """exchange_improve as it was before the closed forms: every swapped Gram
+    matrix scored by its eigenvalues, one outgoing row at a time."""
+    current = set(indices)
+    gram = X[indices].T @ X[indices]
+    key = _subset_key(gram, criterion)
+    while True:
+        outside = np.array(sorted(set(range(len(X))) - current), dtype=np.intp)
+        if outside.size == 0:
+            break
+        cand = X[outside]
+        best_key, best_swap = key, None
+        for out_i in sorted(current):
+            base = gram - np.outer(X[out_i], X[out_i])
+            grams = base[None, :, :] + cand[:, :, None] * cand[:, None, :]
+            keys = _batched_criterion(grams, criterion)
+            k = int(np.argmin(keys))
+            if keys[k] < best_key:
+                best_key, best_swap = float(keys[k]), (out_i, int(outside[k]))
+        if best_swap is None or best_key >= key + math.log1p(-1e-10):
+            break
+        out_i, in_i = best_swap
+        current.remove(out_i)
+        current.add(in_i)
+        gram = gram - np.outer(X[out_i], X[out_i]) + np.outer(X[in_i], X[in_i])
+        key = best_key
+    with np.errstate(over="ignore"):
+        return sorted(current), float(np.exp(key))
+
+
+@pytest.mark.parametrize("criterion", list("ADE"))
+@pytest.mark.parametrize("n, p, r", [
+    (n, p, r) for n in (30, 300, 2000) for p in (2, 5, 10) for r in (p + 1, 5 * p) if r <= n
+])
+def test_closed_form_scoring_matches_the_eigenvalue_reference(n, p, r, criterion):
+    rng = np.random.default_rng(1000 * n + 10 * p + r)
+    X = rng.standard_t(5, size=(n, p)) * rng.uniform(0.1, 10, size=p)
+    d = _design(X)
+    greedy = greedy_select(d, r, criterion)
+    indices, value = _reference_greedy(X, r, criterion)
+    assert greedy.indices.tolist() == indices
+    assert greedy.value == pytest.approx(value, rel=1e-12)
+    exchanged = exchange_improve(d, greedy)
+    indices, value = _reference_exchange(X, greedy.indices, criterion)
+    assert exchanged.indices.tolist() == indices
+    assert exchanged.value == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("criterion", list("ADE"))
+@pytest.mark.parametrize("p", [1, 3, 8])
+def test_closed_form_keys_match_the_updated_grams(p, criterion):
+    rng = np.random.default_rng(p)
+    inside, outside = rng.standard_normal((3 * p, p)), rng.standard_normal((40, p))
+    gram = inside.T @ inside
+    key, inverse = _inverse_factor(gram, criterion)
+    assert key == pytest.approx(float(_batched_criterion(gram, criterion)), rel=1e-12)
+    assert (inverse is None) == (criterion == "E")
+    grown = [_batched_criterion(gram + np.outer(x, x), criterion) for x in outside]
+    np.testing.assert_allclose(_grown_keys(gram, outside, criterion), grown, rtol=1e-12, atol=1e-12)
+    swapped = np.array([
+        [_batched_criterion(gram - np.outer(u, u) + np.outer(x, x), criterion) for x in outside]
+        for u in inside
+    ])
+    if inverse is not None:
+        mu, factor = inverse
+        keys = _swap_keys(key, mu, inside @ factor, outside @ factor, criterion)
+        np.testing.assert_allclose(keys, swapped, rtol=1e-12, atol=1e-12)
+    best, out_k, in_k = _best_swap(gram, key, inverse, inside, outside, criterion)
+    assert best == pytest.approx(swapped.min(), rel=1e-12)
+    assert swapped[out_k, in_k] == pytest.approx(swapped.min(), rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, optdesign._SWAP_BLOCK])
+@pytest.mark.parametrize("criterion", list("ADE"))
+def test_swap_ties_go_to_the_lowest_rows_in_every_block(criterion, block, monkeypatch):
+    # rows 2k and 2k + 1 are equal, so swaps tie exactly on both sides;
+    # with one outgoing row per block the first block's minimum must win
+    monkeypatch.setattr(optdesign, "_SWAP_BLOCK", block)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 4))
+        X = np.repeat(rng.standard_normal((15, p)), 2, axis=0)
+        start = SubsetSelection(indices=np.arange(2 * p + 2), criterion=criterion, value=0.0)
+        indices, value = _reference_exchange(X, start.indices, criterion)
+        exchanged = exchange_improve(_design(X), start)
+        assert exchanged.indices.tolist() == indices, seed
+        assert exchanged.value == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("criterion", ["A", "D"])
+def test_selection_ends_without_warnings_at_the_singular_threshold(criterion):
+    # two columns about 1e-8 apart put cond(G) near 1 / (p eps), where the
+    # keys predicted for a swap and those of the rebuilt Gram matrix can
+    # disagree on singularity; exchange must still stop, and without NaN keys
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 5))
+        X = rng.standard_normal((40, p))
+        X[:, 1] = X[:, 0] + 10.0 ** rng.uniform(-8.5, -7.0) * rng.standard_normal(40)
+        try:
+            exchange_improve(_design(X), greedy_select(_design(X), p + 3, criterion))
+        except SingularSubsetError:
+            pass
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-150, 1e-154])
+@pytest.mark.parametrize("criterion", ["A", "D"])
+def test_exchange_matches_the_reference_where_the_closed_forms_fail(criterion, scale):
+    # rows 0-15 far below the others, the start among them: closed-form keys
+    # overflow for the large rows (A's at 1e-150, D's too at 1e-154), and at
+    # 1e-150 D's best swap leaves a Gram matrix the eigenvalue rule calls singular
+    rng = np.random.default_rng(0)
+    X = np.vstack([scale * rng.standard_normal((16, 3)), rng.standard_normal((20, 3))])
+    start = SubsetSelection(indices=np.arange(6), criterion=criterion, value=0.0)
+    indices, _ = _reference_exchange(X, start.indices, criterion)
+    assert exchange_improve(_design(X), start).indices.tolist() == indices
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    criterion_p=st.sampled_from("ADE").flatmap(
+        lambda c: st.tuples(st.just(c), st.integers(1, 20 if c == "E" else 60))
+    ),
+    exponent=st.integers(-100, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_selection_picks_are_invariant_under_any_column_scale(criterion_p, exponent, seed):
+    criterion, p = criterion_p
+    X = np.random.default_rng(seed).standard_normal((2 * p + 8, p))
+    r = p + 1 + p // 2
+    base, scaled = _design(X), _design(10.0**exponent * X)
+    greedy = greedy_select(base, r, criterion)
+    greedy_scaled = greedy_select(scaled, r, criterion)
+    assert np.array_equal(greedy_scaled.indices, greedy.indices)
+    assert np.array_equal(
+        exchange_improve(scaled, greedy_scaled).indices, exchange_improve(base, greedy).indices
+    )
