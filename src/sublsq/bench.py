@@ -14,6 +14,7 @@ threads run the replicates or in which order methods are listed.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -225,7 +226,10 @@ def run_emse(
                         method, sample, r, (seed, "method", method, rep, r), alpha, criterion
                     )
                     diff = beta - beta_full
-                    result = float(diff @ diff)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        sq = float(diff @ diff)
+                    # an overflowing squared error fails the replicate, as a raise does
+                    result = sq if math.isfinite(sq) else None
                 except (SubLsqError, np.linalg.LinAlgError):
                     result = None
                 cell[(method, r)] = (result, (time.perf_counter() - t0) * 1e3)

@@ -2,7 +2,8 @@
 
 Everything else in the package builds on these three operations. Fits are
 computed from a rank-revealing SVD solve and always return the minimum-norm
-solution, so rank-deficient designs degrade gracefully instead of raising.
+solution, so rank-deficient designs degrade gracefully instead of raising;
+a fit whose residual sum of squares overflows raises NumericalError.
 Consumers that need a full-column-rank design factor it through
 ``full_rank_svd``, which raises RankError otherwise. All functions are
 pure and thread-safe; returned arrays are frozen.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, ValidationError
+from .errors import NumericalError, RankError, ValidationError
 
 __all__ = [
     "Dataset",
@@ -174,20 +175,30 @@ def _minimum_norm_solve(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray
     return Vt[:rank].T @ coeffs, rank
 
 
+def _residual_ss(data: Dataset, beta: np.ndarray, weights=None) -> float:
+    """Residual sum of squares of beta, weighted if weights are given.
+
+    NumericalError where it is not finite; numpy's overflow warnings are
+    silenced, since that raises.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = data.response - data.design @ beta
+        rss = float(resid @ resid if weights is None else weights @ (resid * resid))
+    if not np.isfinite(rss):
+        raise NumericalError("the residual sum of squares overflows at this scale")
+    return rss
+
+
 def ols_fit(data: Dataset) -> EstimateResult:
     """Ordinary least squares.
 
     Returns the minimum-norm solution of ``min ||y - X b||^2``. For a
     full-column-rank design this equals the usual normal-equations
     solution; on singular designs the pseudo-inverse solution is used.
+    Raises NumericalError where the residual sum of squares overflows.
     """
     beta, rank = _minimum_norm_solve(data.design, data.response)
-    resid = data.response - data.design @ beta
-    return EstimateResult(
-        beta=beta,
-        rank=rank,
-        residual_ss=float(resid @ resid),
-    )
+    return EstimateResult(beta=beta, rank=rank, residual_ss=_residual_ss(data, beta))
 
 
 def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
@@ -196,7 +207,8 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     Realized by rescaling each row with the square root of its weight and
     solving the resulting ordinary problem, which is numerically stabler
     than forming the weight matrix. All weights must be strictly positive
-    and finite. ``residual_ss`` is the minimized weighted objective.
+    and finite. ``residual_ss`` is the minimized weighted objective;
+    NumericalError where it overflows.
     """
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.shape[0] != data.n:
@@ -207,12 +219,7 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
         raise ValidationError("weights must be strictly positive")
     sw = np.sqrt(w)
     beta, rank = _minimum_norm_solve(data.design * sw[:, None], data.response * sw)
-    resid = data.response - data.design @ beta
-    return EstimateResult(
-        beta=beta,
-        rank=rank,
-        residual_ss=float(w @ (resid * resid)),
-    )
+    return EstimateResult(beta=beta, rank=rank, residual_ss=_residual_ss(data, beta, w))
 
 
 def leverage_scores(data: Dataset) -> np.ndarray:

@@ -14,10 +14,19 @@ PL      proportional to the row norm ||x_i|| (best for X'X beta)
 Each raw weight vector is normalized by its sum exactly once. SLEV mixes
 two already-normalized vectors and is not renormalized again, which keeps
 its (1 - alpha)/n entrywise lower bound exact in floating point.
+
+The IC and PL weights are row norms, taken by ``np.linalg.norm(..., axis=1)``
+over blocks of ``_ROW_BLOCK`` rows: each row gets the bits of one call over
+all rows, and no n x p temporary is allocated. PL takes them on the design
+times the power of two that puts max|X| in [0.5, 1), so at any scale of
+the design no square overflows, and only rows below about 1e-154 max|X|
+underflow; the rescale is exact on a normal-scale design, so there the
+probabilities keep their bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +38,8 @@ SCHEMES = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")
 DEFAULT_SLEV_ALPHA = 0.9
 
 __all__ = ["SCHEMES", "DEFAULT_SLEV_ALPHA", "ProbabilityVector", "compute_probabilities"]
+
+_ROW_BLOCK = 4096  # rows per block of the IC and PL row norms
 
 
 @dataclass(frozen=True)
@@ -56,6 +67,20 @@ class ProbabilityVector:
     @property
     def n(self) -> int:
         return self.probs.shape[0]
+
+
+def _row_norms(rows: np.ndarray, scaled) -> np.ndarray:
+    """``np.linalg.norm(scaled(rows), axis=1)``, computed ``_ROW_BLOCK`` rows at a time.
+
+    ``scaled`` maps a block of rows to the rows whose norms are taken; it
+    acts on each entry alone, so every norm has the bits of the unblocked
+    call, and no temporary is larger than one block.
+    """
+    norms = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        norms[start:stop] = np.linalg.norm(scaled(rows[start:stop]), axis=1)
+    return norms
 
 
 def _normalized(raw: np.ndarray, what: str) -> np.ndarray:
@@ -97,7 +122,9 @@ def compute_probabilities(
         return ProbabilityVector(np.full(n, 1.0 / n), "RAND")
 
     if scheme == "PL":
-        norms = np.linalg.norm(data.design, axis=1)
+        X = data.design
+        _, exponent = math.frexp(max(float(X.max()), -float(X.min())))
+        norms = _row_norms(X, lambda block: np.ldexp(block, -exponent))
         return ProbabilityVector(_normalized(norms, "row-norm"), "PL")
 
     U, s, _ = full_rank_svd(data, f"scheme {scheme}")
@@ -123,5 +150,6 @@ def compute_probabilities(
     # IC: rows of X (X'X)^{-1} are the rows of U diag(1/s) V', and V' is
     # orthogonal, so the norms come straight from the scaled U rows. Scaling
     # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column scale.
-    ic_raw = np.linalg.norm(U * (s[-1] / s), axis=1)
+    ratio = s[-1] / s
+    ic_raw = _row_norms(U, lambda block: block * ratio)
     return ProbabilityVector(_normalized(ic_raw, "inverse-covariance"), "IC")

@@ -2,11 +2,11 @@
 
 ``draw`` samples row indices i.i.d. with replacement from a probability
 vector using the alias method (one O(n) table build, O(1) per draw). The
-table is built from prefix sums in vectorized numpy, and it is the table
-Vose's stack loop builds, so draws equal those of the loop. The one
-exception is exactly tied probabilities that put a cell boundary within
-rounding error, where the two constructions can split that boundary
-differently; either table has the law ``probs``.
+table is built in vectorized numpy from prefix sums and one sorted search
+of them, and it is the table Vose's stack loop builds, so draws equal
+those of the loop. The one exception is exactly tied probabilities that
+put a cell boundary within rounding error, where the two constructions
+can split that boundary differently; either table has the law ``probs``.
 ``subsample_estimate`` then fits either a plain OLS on the drawn rows or
 a weighted LS with weights equal to the reciprocal drawn probabilities,
 which is the correction that keeps non-uniform schemes asymptotically
@@ -74,34 +74,47 @@ def alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     loop fills one large cell at a time: small cell k goes to the first
     large cell whose cumulative excess covers the deficit of the small
     cells before it, and a large cell is spent, and aliases the next large
-    cell, once the cumulative deficit passes its cumulative excess. The
-    prefix sums round differently from the loop's running subtraction, by
-    O(n eps) in the acceptance probabilities. Zero-probability entries are
-    valid; their cells always redirect, so those indices are never produced.
+    cell, once the cumulative deficit passes its cumulative excess. One
+    ``searchsorted`` of the cumulative excesses in the cumulative deficits
+    answers both: it counts the small cells each large cell covers, and a
+    ``bincount`` plus ``cumsum`` of those counts gives every small cell's
+    large cell. The prefix sums round differently from the loop's running
+    subtraction, by O(n eps) in the acceptance probabilities.
+    Zero-probability entries are valid; their cells always redirect, so
+    those indices are never produced.
     """
     p = np.asarray(probs, dtype=np.float64)
     n = p.shape[0]
     scaled = p * n
-    # Cells the loop leaves over are full up to rounding: accept 1, no alias.
-    accept = np.ones(n)
-    alias = np.arange(n, dtype=np.intp)
     below = scaled < 1.0
     small = np.flatnonzero(below)[::-1]
     large = np.flatnonzero(~below)[::-1]
     deficit = np.cumsum(1.0 - scaled[small])
     excess = np.cumsum(scaled[large] - 1.0)
 
-    owner = np.searchsorted(excess, np.concatenate(([0.0], deficit))[:-1], side="left")
-    filled = owner < large.size
-    cells = small[filled]
-    accept[cells] = scaled[cells]
-    alias[cells] = large[owner[filled]]
+    # covered[j]: the number of small cells whose cumulative deficit large
+    # cell j's cumulative excess covers. Both prefix sums never decrease, so
+    # excess[j] < deficit[k - 1] exactly when covered[j] < k, and covered,
+    # owner and the runs of cells they fill are monotone.
+    covered = np.searchsorted(deficit, excess, side="right")
+    # The large cells that leave some small cell uncovered; only they count.
+    short = int(np.searchsorted(covered, small.size))
+    # Small cell k goes to the first large cell whose excess covers the cells
+    # before it: its index is the number of large cells covering fewer than k.
+    owner = np.cumsum(np.bincount(covered[:short] + 1, minlength=small.size)[: small.size])
+    filled = int(np.searchsorted(owner, large.size))
+    # A small cell accepts its own mass, a large one 1 until it is spent.
+    # Cells the loop leaves over are full up to rounding: accept 1, no alias.
+    accept = np.minimum(scaled, 1.0)
+    accept[small[filled:]] = 1.0
+    alias = np.arange(n, dtype=np.intp)
+    alias[small[:filled]] = large[owner[:filled]]
 
-    # The last large cell is never spent: the loop stops when it runs out.
-    spent_by = np.searchsorted(deficit, excess[:-1], side="right")
-    spent = np.flatnonzero(spent_by < small.size)
-    accept[large[spent]] = 1.0 + excess[spent] - deficit[spent_by[spent]]
-    alias[large[spent]] = large[spent + 1]
+    # Large cell j is spent, and aliases cell j + 1, once the deficits pass
+    # its excess; the last large cell never is: the loop stops when it runs out.
+    spent = min(short, max(large.size - 1, 0))
+    accept[large[:spent]] = 1.0 + excess[:spent] - deficit[covered[:spent]]
+    alias[large[:spent]] = large[1 : spent + 1]
     return accept, alias
 
 

@@ -402,7 +402,9 @@ def test_hostile_csv_raises_no_runtime_warning(capsys, tmp_path, recwarn, name):
     path = tmp_path / f"{name}.csv"
     path.write_bytes(HOSTILE_CSVS[name])
     for argv in HOSTILE_COMMANDS:
-        if argv[0] == "amse" or argv[0] == "select" and argv[2] in ("iboss", "greedy", "exchange"):
+        if argv[0] in ("fit", "probs", "subsample", "amse") or argv[0] == "select" and argv[2] in (
+            "iboss", "greedy", "exchange"
+        ):
             _run(capsys, [*argv, "--input", str(path), "--response", "y"])
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
@@ -421,6 +423,42 @@ def test_select_on_a_singular_or_overflowing_gram_exits_2(capsys, tmp_path, name
             ])
             assert code == 2 and out == "", (method, criterion)
             assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("name", ["huge", "mixed_scales"])
+def test_fit_whose_residuals_overflow_exits_2(capsys, tmp_path, name):
+    # these once exited 0 with "residual_ss": "inf"
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(HOSTILE_CSVS[name])
+    for extra in ([], ["--intercept"]):
+        code, out, err = _run(capsys, ["fit", "--input", str(path), "--response", "y", *extra])
+        assert code == 2 and out == ""
+        assert "numerical failure: the residual sum of squares overflows" in err
+
+
+@pytest.mark.parametrize("name", ["huge", "mixed_scales", "tiny"])
+def test_pl_probabilities_at_any_row_scale(capsys, tmp_path, name):
+    # PL once failed here: its squared row norms overflowed or all underflowed
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(HOSTILE_CSVS[name])
+    code, out, _ = _run(capsys, ["probs", "--input", str(path), "--response", "y", "--scheme", "PL"])
+    assert code == 0
+    pl = np.array(json.loads(out)["results"]["probs"])
+    assert np.all(pl >= 0) and abs(pl.sum() - 1.0) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bench_counts_overflowing_squared_errors_as_failed(capsys, tmp_path):
+    # coefficients near 1e300 on the tiny design square to inf; such replicates once counted as ok
+    path = tmp_path / "tiny.csv"
+    path.write_bytes(HOSTILE_CSVS["tiny"])
+    code, out, _ = _run(capsys, [
+        "bench", "--input", str(path), "--response", "y", "--reps", "3", "--r", "4",
+    ])
+    assert code == 0
+    records = json.loads(out)["results"]["records"]
+    assert [rec["method"] for rec in records] == ["RAND", "BLEV", "SLEV", "IC", "RL", "PL"]
+    assert all(rec["n_ok"] == 0 and rec["failed"] for rec in records)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

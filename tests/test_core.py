@@ -3,6 +3,7 @@ import pytest
 
 from sublsq import (
     Dataset,
+    NumericalError,
     RankError,
     ValidationError,
     avar_matrix,
@@ -91,6 +92,17 @@ def test_weighted_rejects_bad_weights(bad):
     d = Dataset(design=np.array([[1.0], [2.0]]), response=np.array([1.0, 2.0]))
     with pytest.raises(ValidationError):
         weighted_ls_fit(d, np.array(bad))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fits_raise_where_the_residual_sum_of_squares_overflows():
+    # the fits once returned residual_ss = inf after an overflow warning
+    X = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 4.0]])
+    d = Dataset(design=X, response=np.array([1e200, -1e200, 1e200, -1e200]))
+    with pytest.raises(NumericalError, match="residual sum of squares"):
+        ols_fit(d)
+    with pytest.raises(NumericalError, match="residual sum of squares"):
+        weighted_ls_fit(d, np.ones(4))
 
 
 def test_leverage_line_example(line_dataset):
@@ -230,6 +242,34 @@ def test_blev_draws_on_cholesky_path_are_pinned():
         6506, 2371, 4018, 15335, 8854, 16520, 5560, 14418, 17499, 16591, 4263,
     ]
     assert draw(compute_probabilities(data, "BLEV"), 50, 2024).indices.tolist() == expected
+
+
+# recorded before the IC and PL row norms were taken in row blocks
+CHOLESKY_PATH_DRAWS = {
+    "IC": [
+        4830, 13516, 1846, 4286, 6352, 6189, 18173, 15988, 18306, 19916, 1569, 2802, 17538,
+        1574, 3319, 3616, 18276, 7266, 5276, 3392, 9354, 11775, 16003, 12336, 19720, 2107,
+        9752, 11314, 13751, 92, 4051, 9302, 1324, 19512, 12829, 15987, 10310, 11936, 6902,
+        6506, 2591, 4126, 15335, 8854, 16520, 5560, 14418, 17499, 16591, 4256,
+    ],
+    "PL": [
+        4830, 13512, 1846, 4286, 6352, 6189, 18173, 15988, 18306, 19916, 1570, 2802, 17538,
+        1418, 3319, 3616, 18276, 7260, 5276, 3392, 9354, 11775, 16003, 12336, 19720, 2107,
+        9752, 11314, 13751, 92, 4051, 9302, 1324, 19512, 12830, 15988, 10310, 11936, 6902,
+        6506, 2591, 4126, 15335, 8854, 16520, 5560, 14418, 17499, 16591, 4263,
+    ],
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(CHOLESKY_PATH_DRAWS))
+def test_ic_and_pl_draws_on_cholesky_path_are_pinned(scheme):
+    spec = SyntheticSpec(
+        n=20_000, p=5, design_family="student_t", beta0=(1.0,) * 5, noise_sd=1.0, df=5.0
+    )
+    data = generate_synthetic(spec, 11)
+    assert core._cholesky_qr2_svd(data.design) is not None
+    drawn = draw(compute_probabilities(data, scheme), 50, 2024).indices.tolist()
+    assert drawn == CHOLESKY_PATH_DRAWS[scheme]
 
 
 def test_leverage_scores_is_a_frozen_vector(line_dataset):

@@ -480,3 +480,17 @@ def test_selection_picks_are_invariant_under_any_column_scale(criterion_p, expon
     assert np.array_equal(
         exchange_improve(scaled, greedy_scaled).indices, exchange_improve(base, greedy).indices
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 60),
+    quota=st.integers(1, 3),
+    exponent=st.integers(-100, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_iboss_picks_are_invariant_under_any_column_scale(p, quota, exponent, seed):
+    r = 2 * p * quota
+    X = np.random.default_rng(seed).standard_normal((r + p + 8, p))
+    picks = iboss_select(_design(X), r).indices
+    assert np.array_equal(iboss_select(_design(10.0**exponent * X), r).indices, picks)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sublsq import (
     ValidationError,
     compute_probabilities,
     core,
+    probs,
 )
 
 from conftest import gaussian_dataset
@@ -113,6 +116,72 @@ def test_leverage_schemes_are_scale_invariant(kind, exponent, seed):
         p1 = compute_probabilities(Dataset(design=X, response=np.zeros(n)), scheme).probs
         p2 = compute_probabilities(Dataset(design=c * X, response=np.zeros(n)), scheme).probs
         np.testing.assert_allclose(p2, p1, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SCALE_DESIGN_SHAPES)),
+    exponent=st.floats(min_value=-100, max_value=100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pl_is_scale_invariant(kind, exponent, seed):
+    n, p = SCALE_DESIGN_SHAPES[kind]
+    X = np.random.default_rng(seed).standard_t(5, size=(n, p))
+    p1 = compute_probabilities(Dataset(design=X, response=np.zeros(n)), "PL").probs
+    p2 = compute_probabilities(Dataset(design=10.0**exponent * X, response=np.zeros(n)), "PL").probs
+    np.testing.assert_allclose(p2, p1, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("power", [-900, 900])
+def test_pl_keeps_its_bits_where_squared_rows_over_or_underflow(power):
+    # the squares once overflowed to inf, or underflowed to all-zero weights
+    X = np.random.default_rng(5).standard_t(5, size=(300, 3))
+    base = compute_probabilities(Dataset(design=X, response=np.zeros(300)), "PL").probs
+    scaled = Dataset(design=np.ldexp(X, power), response=np.zeros(300))
+    assert np.array_equal(compute_probabilities(scaled, "PL").probs, base)
+
+
+def _ic_reference(data):
+    U, s, _ = core.full_rank_svd(data, "IC")
+    raw = np.linalg.norm(U * (s[-1] / s), axis=1)
+    return raw / raw.sum()
+
+
+def _pl_reference(data):
+    raw = np.linalg.norm(data.design, axis=1)
+    return raw / raw.sum()
+
+
+@pytest.mark.parametrize("p", [1, 2, 10, 50])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_blocked_row_norms_have_the_bits_of_one_norm_call(offset, p):
+    n = probs._ROW_BLOCK + offset
+    X = np.random.default_rng(p).standard_t(5, size=(n, p))
+    scale = np.linspace(0.5, 2.0, p)
+    np.testing.assert_array_equal(
+        probs._row_norms(X, lambda block: block * scale), np.linalg.norm(X * scale, axis=1)
+    )
+    data = Dataset(design=X, response=np.zeros(n))
+    np.testing.assert_array_equal(compute_probabilities(data, "IC").probs, _ic_reference(data))
+    np.testing.assert_array_equal(compute_probabilities(data, "PL").probs, _pl_reference(data))
+
+
+def _traced_peak(data, scheme):
+    tracemalloc.start()
+    try:
+        compute_probabilities(data, scheme)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ic_and_pl_weights_allocate_no_n_by_p_temporary():
+    n, p = 100_000, 10
+    X = np.random.default_rng(8).standard_t(5, size=(n, p))
+    data = Dataset(design=X, response=np.zeros(n))
+    # IC needs the same factorization as BLEV and nothing larger than one n-vector more
+    assert _traced_peak(data, "IC") <= _traced_peak(data, "BLEV") + 8 * n
+    assert _traced_peak(data, "PL") < X.nbytes / 2
 
 
 def test_orthonormal_coincidence():

@@ -4,6 +4,7 @@ import pytest
 from sublsq import (
     Dataset,
     ProbabilityVector,
+    SyntheticSpec,
     ValidationError,
     compute_probabilities,
     draw,
@@ -94,6 +95,76 @@ def test_alias_table_matches_vose_loop(kind, seed):
     ref_accept, ref_alias = _vose_loop(p)
     assert np.array_equal(alias, ref_alias)
     np.testing.assert_allclose(accept, ref_accept, rtol=0, atol=1e-10)
+
+
+def _two_search_alias_table(probs):
+    """Reference: the prefix-sum table as first built, with two searches."""
+    p = np.asarray(probs, dtype=np.float64)
+    n = p.shape[0]
+    scaled = p * n
+    accept = np.ones(n)
+    alias = np.arange(n, dtype=np.intp)
+    below = scaled < 1.0
+    small = np.flatnonzero(below)[::-1]
+    large = np.flatnonzero(~below)[::-1]
+    deficit = np.cumsum(1.0 - scaled[small])
+    excess = np.cumsum(scaled[large] - 1.0)
+
+    owner = np.searchsorted(excess, np.concatenate(([0.0], deficit))[:-1], side="left")
+    filled = owner < large.size
+    cells = small[filled]
+    accept[cells] = scaled[cells]
+    alias[cells] = large[owner[filled]]
+
+    spent_by = np.searchsorted(deficit, excess[:-1], side="right")
+    spent = np.flatnonzero(spent_by < small.size)
+    accept[large[spent]] = 1.0 + excess[spent] - deficit[spent_by[spent]]
+    alias[large[spent]] = large[spent + 1]
+    return accept, alias
+
+
+def _assert_same_table(p):
+    accept, alias = alias_table(p)
+    ref_accept, ref_alias = _two_search_alias_table(p)
+    assert np.array_equal(accept, ref_accept)
+    assert np.array_equal(alias, ref_alias)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 500_000])
+@pytest.mark.parametrize("kind", KINDS)
+def test_alias_table_equals_the_two_search_table(kind, n):
+    w = _weights(kind, n, np.random.default_rng(n))
+    _assert_same_table(w / w.sum())
+
+
+@pytest.mark.parametrize("n", [4, 1024, 2**19])
+@pytest.mark.parametrize("kind", ["dyadic", "mass_0.5", "mass_1.5"])
+def test_alias_table_equals_the_two_search_table_at_ties_and_leftover_cells(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "dyadic":
+        # exact cells, so the prefix sums of excess and deficit tie exactly
+        half = rng.choice([0.25, 0.5, 1.0], size=n // 2)
+        w = np.concatenate([half, 2.0 - half])
+        rng.shuffle(w)
+        p = w / n
+    else:
+        # a total below or above 1 leaves small or large cells over at the end
+        w = rng.random(n)
+        p = w / w.sum() * float(kind[len("mass_"):])
+    _assert_same_table(p)
+
+
+@pytest.fixture(scope="module")
+def tall_student_t():
+    spec = SyntheticSpec(
+        n=500_000, p=10, design_family="student_t", beta0=(1.0,) * 10, noise_sd=1.0, df=5.0
+    )
+    return generate_synthetic(spec, 3)
+
+
+@pytest.mark.parametrize("scheme", ["BLEV", "IC", "PL"])
+def test_alias_table_equals_the_two_search_table_on_tall_schemes(tall_student_t, scheme):
+    _assert_same_table(compute_probabilities(tall_student_t, scheme).probs)
 
 
 def test_blev_draw_stream_is_pinned():
