@@ -23,11 +23,11 @@ import numpy as np
 
 from .core import Dataset, ols_fit
 from .errors import SubLsqError, ValidationError
-from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_select
+from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_quota, iboss_select
 from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities, slev_alpha
 from .rng import SeedLike, derive_rng
 from .sampler import draw, subsample_estimate
-from .volume import volume_sample
+from .volume import check_enumerable, volume_sample
 
 DESIGN_FAMILIES = ("gaussian", "student_t", "t5_line")
 
@@ -44,6 +44,13 @@ SELECTIONS = {
     "LEVVOL": lambda data, r, seed, criterion: volume_sample(data, r, "leveraged", seed),
 }
 REGISTERED_METHODS = ("OLS",) + SCHEMES + tuple(SELECTIONS)
+
+# Rules a method breaks on every replicate alike, since bootstrap samples keep
+# the input's n and p: (n, p, r) -> None, or the method's ValidationError.
+_UP_FRONT_RULES = {
+    "IBOSS": lambda n, p, r: iboss_quota(r, p),
+    "VOL": lambda n, p, r: check_enumerable(n),
+}
 
 DEFAULT_REPS = 100
 DEFAULT_R_MULTIPLES = (5, 10, 15, 20)
@@ -194,6 +201,9 @@ def run_emse(
 
     Replicates are embarrassingly parallel; pass ``workers > 1`` to spread
     them over threads. The report is identical for any worker count.
+    A method and r that break a rule every replicate would break (IBOSS
+    at an r that 2p does not divide, VOL beyond the enumeration cap) raise
+    before any replicate runs, instead of failing every replicate.
     """
     methods = tuple(m.upper() for m in methods)
     for m in methods:
@@ -210,6 +220,12 @@ def run_emse(
     alpha = slev_alpha(alpha)
     if criterion not in CRITERIA:
         raise ValidationError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    for method in (m for m in methods if m in _UP_FRONT_RULES):
+        for r in r_values:
+            try:
+                _UP_FRONT_RULES[method](data.n, data.p, r)
+            except ValidationError as exc:
+                raise type(exc)(f"method {method} cannot run at r={r}: {exc}") from None
 
     beta_full = ols_fit(data).beta
     n = data.n

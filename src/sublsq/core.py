@@ -3,10 +3,15 @@
 Everything else in the package builds on these three operations. Fits are
 computed from a rank-revealing SVD solve and always return the minimum-norm
 solution, so rank-deficient designs degrade gracefully instead of raising;
-a fit whose residual sum of squares overflows raises NumericalError.
-Consumers that need a full-column-rank design factor it through
-``full_rank_svd``, which raises RankError otherwise. All functions are
-pure and thread-safe; returned arrays are frozen.
+a fit whose coefficients or residual sum of squares overflow raises
+NumericalError. Consumers that need a full-column-rank design factor it
+through ``full_rank_svd``, which raises RankError otherwise. All functions
+are pure and thread-safe; returned arrays are frozen.
+
+``Dataset`` checks its arrays once, at construction. ``take_rows`` checks
+only the row indices: rows of checked arrays need no second check, so it
+freezes their fancy-indexed copies, bit for bit ``Dataset(design[idx],
+response[idx])``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, RankError, ValidationError
+from .errors import DegenerateDistributionError, NumericalError, RankError, ValidationError
 
 __all__ = [
     "Dataset",
@@ -74,9 +79,17 @@ class Dataset:
         return self.design.shape[1]
 
     def take_rows(self, indices) -> "Dataset":
-        """Dataset restricted to the given rows (repeats allowed)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.design[idx], self.response[idx])
+        """Dataset restricted to the given rows (repeats allowed): a nonempty
+        vector of integers in [0, n), ValidationError otherwise."""
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+            raise ValidationError("row indices must be a nonempty vector of integers")
+        if idx.min() < 0 or idx.max() >= self.n:
+            raise ValidationError(f"row indices must lie in [0, {self.n})")
+        sub = object.__new__(Dataset)
+        object.__setattr__(sub, "design", _freeze(self.design[idx]))
+        object.__setattr__(sub, "response", _freeze(self.response[idx]))
+        return sub
 
 
 @dataclass(frozen=True)
@@ -166,27 +179,26 @@ def full_rank_svd(data: Dataset, what: str):
     return U, s, Vt
 
 
-def _minimum_norm_solve(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimum-norm least-squares solution and the numerical rank used."""
-    U, s, Vt, rank = thin_svd(design)
-    if rank == 0:
-        return np.zeros(design.shape[1]), 0
-    coeffs = (U[:, :rank].T @ rhs) / s[:rank]
-    return Vt[:rank].T @ coeffs, rank
+def _fit(data: Dataset, design: np.ndarray, rhs: np.ndarray, weights=None) -> EstimateResult:
+    """Minimum-norm least-squares fit of ``rhs`` on ``design``, scored on ``data``.
 
-
-def _residual_ss(data: Dataset, beta: np.ndarray, weights=None) -> float:
-    """Residual sum of squares of beta, weighted if weights are given.
-
-    NumericalError where it is not finite; numpy's overflow warnings are
-    silenced, since that raises.
+    ``design`` and ``rhs`` are those of ``data``, scaled by the square roots
+    of ``weights`` where given; ``rank`` is the numerical rank used, and
+    ``residual_ss`` the (weighted) residual sum of squares on ``data``.
+    NumericalError where the coefficients or that sum are not finite;
+    numpy's overflow warnings are silenced, since that raises.
     """
+    U, s, Vt, rank = thin_svd(design)
     with np.errstate(over="ignore", invalid="ignore"):
+        # rank 0 (an all-zero design) gives the zero vector
+        beta = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / s[:rank])
+        if not np.all(np.isfinite(beta)):
+            raise NumericalError("the least-squares coefficients overflow at this scale")
         resid = data.response - data.design @ beta
         rss = float(resid @ resid if weights is None else weights @ (resid * resid))
     if not np.isfinite(rss):
         raise NumericalError("the residual sum of squares overflows at this scale")
-    return rss
+    return EstimateResult(beta=beta, rank=rank, residual_ss=rss)
 
 
 def ols_fit(data: Dataset) -> EstimateResult:
@@ -195,10 +207,10 @@ def ols_fit(data: Dataset) -> EstimateResult:
     Returns the minimum-norm solution of ``min ||y - X b||^2``. For a
     full-column-rank design this equals the usual normal-equations
     solution; on singular designs the pseudo-inverse solution is used.
-    Raises NumericalError where the residual sum of squares overflows.
+    Raises NumericalError where the coefficients or the residual sum of
+    squares overflow.
     """
-    beta, rank = _minimum_norm_solve(data.design, data.response)
-    return EstimateResult(beta=beta, rank=rank, residual_ss=_residual_ss(data, beta))
+    return _fit(data, data.design, data.response)
 
 
 def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
@@ -208,7 +220,7 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     solving the resulting ordinary problem, which is numerically stabler
     than forming the weight matrix. All weights must be strictly positive
     and finite. ``residual_ss`` is the minimized weighted objective;
-    NumericalError where it overflows.
+    NumericalError where it or the coefficients overflow.
     """
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.shape[0] != data.n:
@@ -218,8 +230,7 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     if np.any(w <= 0):
         raise ValidationError("weights must be strictly positive")
     sw = np.sqrt(w)
-    beta, rank = _minimum_norm_solve(data.design * sw[:, None], data.response * sw)
-    return EstimateResult(beta=beta, rank=rank, residual_ss=_residual_ss(data, beta, w))
+    return _fit(data, data.design * sw[:, None], data.response * sw, w)
 
 
 def leverage_scores(data: Dataset) -> np.ndarray:
@@ -234,3 +245,19 @@ def leverage_scores(data: Dataset) -> np.ndarray:
     # Projection diagonals live in [0, 1]; shave off rounding overshoot.
     np.clip(scores, 0.0, 1.0, out=scores)
     return _freeze(scores)
+
+
+def reject_zero_rows(design: np.ndarray, lev: np.ndarray, s: np.ndarray, what: str) -> None:
+    """DegenerateDistributionError naming ``what`` if ``design`` has an all-zero row.
+
+    ``lev`` is each row's leverage, or less, from the thin SVD of the
+    full-rank ``design`` with singular values ``s``. Only rows at or below
+    ``(n p eps cond)^2`` are scanned: a zero row's leverage is 0, except
+    for rounding noise where LAPACK pivots on it (one of the first p rows),
+    measured up to 7e-9 at cond 1e12 and always below 1/150 of the bound.
+    """
+    n, p = design.shape
+    bound = (n * p * np.finfo(np.float64).eps * float(s[0] / s[-1])) ** 2
+    suspects = np.flatnonzero(lev <= bound)
+    if suspects.size and not design[suspects].any(axis=1).all():
+        raise DegenerateDistributionError(f"{what} is undefined for all-zero design rows")

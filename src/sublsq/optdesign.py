@@ -294,6 +294,14 @@ def criterion_value(data: Dataset, indices, criterion: str) -> float:
     return _criterion_from_key(_subset_key(_gram(data.design[idx]), criterion))
 
 
+def iboss_quota(r: int, p: int) -> int:
+    """Rows IBOSS takes from each end of each of p columns, r/(2p);
+    ValidationError unless r is a positive multiple of 2p."""
+    if r < 2 * p or r % (2 * p) != 0:
+        raise ValidationError(f"r must be a positive multiple of 2p={2 * p}, got {r}")
+    return r // (2 * p)
+
+
 def iboss_select(data: Dataset, r: int) -> SubsetSelection:
     """Select the per-column extreme rows, a fixed quota per column.
 
@@ -304,9 +312,7 @@ def iboss_select(data: Dataset, r: int) -> SubsetSelection:
     n, p = data.n, data.p
     if r > n:
         raise ValidationError(f"r={r} exceeds n={n}")
-    if r < 2 * p or r % (2 * p) != 0:
-        raise ValidationError(f"r must be a positive multiple of 2p={2 * p}, got {r}")
-    quota = r // (2 * p)
+    quota = iboss_quota(r, p)
 
     selected = np.zeros(n, dtype=bool)
     for j in range(p):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, full_rank_svd
+from .core import Dataset, full_rank_svd, reject_zero_rows
 from .errors import DegenerateDistributionError, ValidationError
 
 SCHEMES = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")
@@ -128,14 +128,19 @@ def compute_probabilities(
         return ProbabilityVector(_normalized(norms, "row-norm"), "PL")
 
     U, s, _ = full_rank_svd(data, f"scheme {scheme}")
-    # On a full-rank design a leverage score vanishes exactly when the row
-    # is all zeros, and such rows would break the weighting later on.
-    if np.any(~data.design.any(axis=1)):
-        raise DegenerateDistributionError(
-            f"scheme {scheme} is undefined for all-zero design rows"
-        )
+    # All-zero rows would break the weighting later on.
+    if scheme == "IC":
+        # Rows of X (X'X)^{-1} are the rows of U diag(1/s) V', and V' is
+        # orthogonal, so the norms come straight from the scaled U rows. Scaling
+        # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column
+        # scale, and keeps each squared norm at most the row's leverage.
+        ratio = s[-1] / s
+        ic_raw = _row_norms(U, lambda block: block * ratio)
+        reject_zero_rows(data.design, np.square(ic_raw), s, f"scheme {scheme}")
+        return ProbabilityVector(_normalized(ic_raw, "inverse-covariance"), "IC")
 
     lev = np.einsum("ij,ij->i", U, U)
+    reject_zero_rows(data.design, lev, s, f"scheme {scheme}")
 
     if scheme in ("BLEV", "SLEV"):
         blev = _normalized(lev, "leverage")
@@ -144,12 +149,4 @@ def compute_probabilities(
         probs = alpha * blev + (1.0 - alpha) / n
         return ProbabilityVector(probs, "SLEV", alpha=alpha)
 
-    if scheme == "RL":
-        return ProbabilityVector(_normalized(np.sqrt(lev), "root-leverage"), "RL")
-
-    # IC: rows of X (X'X)^{-1} are the rows of U diag(1/s) V', and V' is
-    # orthogonal, so the norms come straight from the scaled U rows. Scaling
-    # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column scale.
-    ratio = s[-1] / s
-    ic_raw = _row_norms(U, lambda block: block * ratio)
-    return ProbabilityVector(_normalized(ic_raw, "inverse-covariance"), "IC")
+    return ProbabilityVector(_normalized(np.sqrt(lev), "root-leverage"), "RL")

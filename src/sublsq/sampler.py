@@ -7,6 +7,11 @@ of them, and it is the table Vose's stack loop builds, so draws equal
 those of the loop. The one exception is exactly tied probabilities that
 put a cell boundary within rounding error, where the two constructions
 can split that boundary differently; either table has the law ``probs``.
+A constant vector, such as RAND's, gets the table ``(1, i)`` at once,
+the one the general path builds there. ``draw`` skips the shape, size
+and sign checks of ``SubsampleDraw``, which its alias cells meet by
+construction, and keeps the check that drawn probabilities lie in
+(0, 1]. Neither shortcut changes a draw.
 ``subsample_estimate`` then fits either a plain OLS on the drawn rows or
 a weighted LS with weights equal to the reciprocal drawn probabilities,
 which is the correction that keeps non-uniform schemes asymptotically
@@ -54,16 +59,21 @@ class SubsampleDraw:
             raise ValidationError("a draw must contain at least one index")
         if np.any(idx < 0):
             raise ValidationError("indices must be nonnegative")
-        if np.any(dp <= 0) or np.any(dp > 1):
-            raise ValidationError("draw_probs must lie in (0, 1]")
-        idx.flags.writeable = False
-        dp.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "draw_probs", dp)
+        _set_draw_arrays(self, idx, dp)
 
     @property
     def r(self) -> int:
         return self.indices.shape[0]
+
+
+def _set_draw_arrays(target: SubsampleDraw, idx: np.ndarray, dp: np.ndarray) -> None:
+    """Check that ``dp`` lies in (0, 1], then freeze both arrays into ``target``."""
+    if not (dp.min() > 0 and dp.max() <= 1):
+        raise ValidationError("draw_probs must lie in (0, 1]")
+    idx.flags.writeable = False
+    dp.flags.writeable = False
+    object.__setattr__(target, "indices", idx)
+    object.__setattr__(target, "draw_probs", dp)
 
 
 def alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,10 +91,12 @@ def alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     large cell. The prefix sums round differently from the loop's running
     subtraction, by O(n eps) in the acceptance probabilities.
     Zero-probability entries are valid; their cells always redirect, so
-    those indices are never produced.
+    those indices are never produced. A constant vector gets ``(1, i)``.
     """
     p = np.asarray(probs, dtype=np.float64)
     n = p.shape[0]
+    if n and np.all(p == p[0]):
+        return np.ones(n), np.arange(n, dtype=np.intp)
     scaled = p * n
     below = scaled < 1.0
     small = np.flatnonzero(below)[::-1]
@@ -130,11 +142,10 @@ def draw(probs: ProbabilityVector, r: int, seed: SeedLike) -> SubsampleDraw:
     cells = rng.integers(0, probs.n, size=r)
     u = rng.random(r)
     indices = np.where(u < accept[cells], cells, alias[cells])
-    return SubsampleDraw(
-        indices=indices,
-        draw_probs=probs.probs[indices],
-        seed=seed,
-    )
+    out = object.__new__(SubsampleDraw)
+    object.__setattr__(out, "seed", seed)
+    _set_draw_arrays(out, indices, probs.probs[indices])
+    return out
 
 
 def subsample_estimate(data: Dataset, draw: SubsampleDraw, mode: str) -> EstimateResult:
@@ -147,8 +158,6 @@ def subsample_estimate(data: Dataset, draw: SubsampleDraw, mode: str) -> Estimat
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    if int(draw.indices.max()) >= data.n:
-        raise ValidationError("draw indices out of range for this dataset")
     sub = data.take_rows(draw.indices)
     if mode == "plain":
         return ols_fit(sub)

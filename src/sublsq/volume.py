@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Dataset, full_rank_svd
+from .core import Dataset, full_rank_svd, reject_zero_rows
 from .errors import (
     CapacityError,
     DegenerateDistributionError,
@@ -97,10 +97,18 @@ def _gram_logdets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray 
 
 def _leveraged_proposal(data: Dataset) -> np.ndarray:
     """The i.i.d. proposal ``q = leverage/p`` of leveraged volume sampling."""
-    U, _, _ = full_rank_svd(data, "leveraged volume sampling")
-    if np.any(~data.design.any(axis=1)):
-        raise DegenerateDistributionError("leveraged volume requires nonzero rows")
-    return np.einsum("ij,ij->i", U, U) / data.p
+    U, s, _ = full_rank_svd(data, "leveraged volume sampling")
+    lev = np.einsum("ij,ij->i", U, U)
+    reject_zero_rows(data.design, lev, s, "leveraged volume sampling")
+    return lev / data.p
+
+
+def check_enumerable(n: int) -> None:
+    """CapacityError unless the subsets of n rows are few enough to enumerate."""
+    if n > ENUMERATION_MAX_N:
+        raise CapacityError(
+            f"subset enumeration is capped at n={ENUMERATION_MAX_N}, got n={n}"
+        )
 
 
 def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
@@ -112,10 +120,7 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     log-determinants, so no row scale over- or underflows them.
     """
     n, p = data.n, data.p
-    if n > ENUMERATION_MAX_N:
-        raise CapacityError(
-            f"subset enumeration is capped at n={ENUMERATION_MAX_N}, got n={n}"
-        )
+    check_enumerable(n)
     if r < p:
         raise ValidationError(f"subset size r={r} must be at least p={p}")
     if r > n:

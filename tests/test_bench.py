@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sublsq import (
+    CapacityError,
+    Dataset,
     SyntheticSpec,
     ValidationError,
     default_r_grid,
@@ -109,19 +113,32 @@ def test_full_ols_control_beats_every_subsample_method():
 
 def test_failing_method_marked_not_fatal():
     data = generate_synthetic(heavy_tailed_spec(), 8)
-    # r=10 is not a multiple of 2p=4, so the quota rule rejects every replicate
-    report = run_emse(data, ["RAND", "IBOSS"], [10], reps=6, seed=9)
+    # a repeated column: BLEV needs full rank and fails on every bootstrap
+    # sample, while RAND falls back to the minimum-norm fit
+    x = data.design[:, 1]
+    data = Dataset(np.column_stack([x, x]), data.response)
+    report = run_emse(data, ["RAND", "BLEV"], [10], reps=6, seed=9)
     recs = _records_by_key(report)
-    assert recs[("IBOSS", 10)].failed
-    assert recs[("IBOSS", 10)].n_failed == 6
-    assert np.isnan(recs[("IBOSS", 10)].emse)
+    assert recs[("BLEV", 10)].failed
+    assert recs[("BLEV", 10)].n_failed == 6
+    assert np.isnan(recs[("BLEV", 10)].emse)
     assert not recs[("RAND", 10)].failed
+
+
+def test_methods_whose_rule_fails_every_replicate_are_rejected_up_front():
+    data = generate_synthetic(heavy_tailed_spec(50), 8)
+    # r=6 is not a multiple of 2p=4, and n=50 is beyond subset enumeration;
+    # both once counted as a failed replicate of every cell
+    with pytest.raises(ValidationError, match="method IBOSS cannot run at r=6: .*multiple of 2p=4"):
+        run_emse(data, ["RAND", "IBOSS"], [8, 6], reps=2, seed=9)
+    with pytest.raises(CapacityError, match="method VOL cannot run at r=8: .*capped at n=20"):
+        run_emse(data, ["VOL"], [8], reps=2, seed=9)
 
 
 def test_volume_methods_fail_beyond_desk_scale_but_run_small():
     big = generate_synthetic(heavy_tailed_spec(400), 10)
-    report = run_emse(big, ["VOL"], [4], reps=4, seed=11)
-    assert _records_by_key(report)[("VOL", 4)].failed
+    with pytest.raises(CapacityError, match="VOL"):
+        run_emse(big, ["VOL"], [4], reps=4, seed=11)
     small = generate_synthetic(
         SyntheticSpec(n=12, p=2, design_family="gaussian", beta0=(1.0, 1.0), noise_sd=0.5),
         13,
@@ -159,6 +176,18 @@ def test_t5_line_advantage_at_smallest_grid_size():
         for m in emse:
             emse[m].append(recs[(m, 10)].emse)
     assert np.mean(emse["BLEV"]) < np.mean(emse["RAND"])
+
+
+def test_t5_line_emse_records_are_pinned():
+    # The validation shortcuts on the draw and fit path changed no record.
+    # Values are hashed at 12 significant digits, so a BLAS that rounds
+    # its SVD differently in the last bit does not move the hash.
+    data = generate_synthetic(t5_line_spec(1000), 2024)
+    report = run_emse(data, ["RAND", "BLEV", "SLEV", "IC", "RL", "PL"], [10, 20, 30, 40], reps=20, seed=7)
+    h = hashlib.sha256()
+    for rec in report.records:
+        h.update(f"{rec.method} {rec.r} {rec.emse:.12e} {rec.emse_sd:.12e} {rec.n_ok} {rec.n_failed}\n".encode())
+    assert h.hexdigest() == "adaa9adef9521e359e9be6990432eda8ace35eb26deda99c554cabf85d714f56"
 
 
 def test_run_emse_validation():

@@ -436,6 +436,31 @@ def test_fit_whose_residuals_overflow_exits_2(capsys, tmp_path, name):
         assert "numerical failure: the residual sum of squares overflows" in err
 
 
+def test_fit_whose_coefficients_overflow_exits_2(capsys, tmp_path, recwarn):
+    # (U'y)/s once overflowed with a RuntimeWarning, and the fit then failed
+    # on the residual sum of squares instead
+    path = _write(tmp_path / "steep.csv", "x,y\n1e-300,1e10\n2e-300,3e10\n4e-300,2e10\n")
+    code, out, err = _run(capsys, ["fit", "--input", path, "--response", "y"])
+    assert code == 2 and out == ""
+    assert "numerical failure: the least-squares coefficients overflow" in err
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_bytes(HOSTILE_CSVS["tiny"])
+    _run(capsys, ["bench", "--input", str(tiny), "--response", "y", "--reps", "3", "--r", "4"])
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_bench_rejects_a_method_that_fails_every_replicate(capsys):
+    # IBOSS at an r that 2p does not divide, and VOL beyond n=20, once exited 0
+    # with every cell "failed"
+    argv = ["bench", "--synthetic", "t5_line", "--n", "50", "--reps", "2", "--r", "6"]
+    code, out, err = _run(capsys, [*argv, "--methods", "IBOSS,VOL"])
+    assert code == 1 and out == ""
+    assert "method IBOSS cannot run at r=6: r must be a positive multiple of 2p=4" in err
+    code, out, err = _run(capsys, [*argv, "--methods", "RAND,VOL"])
+    assert code == 1 and out == ""
+    assert "method VOL cannot run at r=6: subset enumeration is capped at n=20" in err
+
+
 @pytest.mark.parametrize("name", ["huge", "mixed_scales", "tiny"])
 def test_pl_probabilities_at_any_row_scale(capsys, tmp_path, name):
     # PL once failed here: its squared row norms overflowed or all underflowed

@@ -302,3 +302,31 @@ def test_full_rank_consumers_reject_a_duplicated_column(name):
     data = Dataset(design=np.column_stack([x, x]), response=np.zeros(8))
     with pytest.raises(RankError, match=r"full-column-rank design \(rank 1 < p=2\)"):
         FULL_RANK_CONSUMERS[name](data)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[2], [0, 0, 0], [4, 1, 3, 1], np.arange(7)[::-1], np.array([6, 2], dtype=np.uint8)],
+)
+def test_take_rows_equals_the_checked_constructor(indices):
+    data = gaussian_dataset(3, 7, 3)
+    sub = data.take_rows(indices)
+    idx = np.asarray(indices)
+    ref = Dataset(data.design[idx], data.response[idx])
+    for got, want in ((sub.design, ref.design), (sub.response, ref.response)):
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.flags.c_contiguous and not got.flags.writeable
+    assert sub.n == len(idx) and sub.p == 3
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[3], [-1], [0.5], [0, 1.0], [True, False, True], [], [[0, 1]], 0, np.array([2**63], dtype=np.uint64)],
+)
+def test_take_rows_rejects_bad_indices(indices):
+    # out-of-range rows once leaked IndexError, -1 wrapped round to the last
+    # row, and 0.5 became row 0
+    data = gaussian_dataset(4, 3, 2)
+    with pytest.raises(ValidationError, match="row indices"):
+        data.take_rows(indices)

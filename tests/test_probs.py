@@ -14,6 +14,7 @@ from sublsq import (
     compute_probabilities,
     core,
     probs,
+    volume,
 )
 
 from conftest import gaussian_dataset
@@ -232,3 +233,52 @@ def test_probability_vector_validation():
         ProbabilityVector(np.array([0.5, 0.4]), "RAND")  # does not sum to 1
     with pytest.raises(ValidationError):
         ProbabilityVector(np.array([1.5, -0.5]), "RAND")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cholqr=st.booleans(),
+    p=st.integers(min_value=1, max_value=6),
+    n_zero=st.integers(min_value=0, max_value=2),
+    zero_pivot=st.booleans(),
+    n_tiny=st.integers(min_value=0, max_value=2),
+    log_cond=st.floats(min_value=0, max_value=9),
+    exponent=st.integers(min_value=-120, max_value=150),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_zero_rows_rejected_exactly_when_present(
+    cholqr, p, n_zero, zero_pivot, n_tiny, log_cond, exponent, seed
+):
+    # The zero-row check reads the computed leverage, which is rounding noise
+    # on a zero row among LAPACK's first p (pivot) rows, and 0 on a nonzero
+    # row 1e-180 times the others; neither may change the verdict.
+    rng = np.random.default_rng(seed)
+    n = core.CHOLQR_MIN_ENTRIES // p + 50 if cholqr else int(rng.integers(p + 6, 200))
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    mix = (Q * np.geomspace(1.0, 10.0**-log_cond, p)) @ Q.T
+    X = rng.standard_t(5, size=(n, p)) @ mix
+    rows = rng.permutation(n)
+    if zero_pivot:
+        first_pivot = np.flatnonzero(rows < p)[0]
+        rows[[0, first_pivot]] = rows[[first_pivot, 0]]
+    X[rows[:n_zero]] = 0.0
+    tiny = rows[n_zero : n_zero + n_tiny]
+    X[tiny] *= 1e-180
+    X *= 10.0**exponent
+    data = Dataset(design=X, response=np.zeros(n))
+    has_zero = not X.any(axis=1).all()
+    assert has_zero == (n_zero > 0)
+    assert (core._cholesky_qr2_svd(X) is not None) <= cholqr
+    for scheme in ("BLEV", "SLEV", "IC", "RL"):
+        if has_zero:
+            with pytest.raises(DegenerateDistributionError):
+                compute_probabilities(data, scheme)
+        else:
+            pv = compute_probabilities(data, scheme)
+            # outside the pivot rows a tiny row's leverage underflows
+            assert scheme == "SLEV" or np.all(pv.probs[tiny[tiny >= p]] == 0)
+    if has_zero:
+        with pytest.raises(DegenerateDistributionError):
+            volume._leveraged_proposal(data)
+    else:
+        volume._leveraged_proposal(data)

@@ -154,6 +154,30 @@ def test_alias_table_equals_the_two_search_table_at_ties_and_leftover_cells(kind
     _assert_same_table(p)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 99991])
+@pytest.mark.parametrize("mass", [1.0, 0.0, 0.5, 2.0])
+def test_alias_table_of_a_constant_vector_is_the_identity(mass, n):
+    # the shortcut table: accept every cell, alias none
+    p = np.full(n, mass / n)
+    accept, alias = alias_table(p)
+    assert np.array_equal(accept, np.ones(n)) and np.array_equal(alias, np.arange(n))
+    assert accept.dtype == np.float64 and alias.dtype == np.intp
+    _assert_same_table(p)
+
+
+def test_draw_arrays_are_frozen_and_checked():
+    d = gaussian_dataset(2, 50, 2)
+    dr = draw(compute_probabilities(d, "BLEV"), 20, 3)
+    assert dr.indices.dtype == np.intp and dr.draw_probs.dtype == np.float64
+    assert not dr.indices.flags.writeable and not dr.draw_probs.flags.writeable
+    # a probability vector may exceed 1 by rounding; such a draw is still refused
+    over = ProbabilityVector(np.array([1.0 + 5e-11, 0.0]), "RAND")
+    with pytest.raises(ValidationError, match="draw_probs"):
+        draw(over, 3, 0)
+    with pytest.raises(ValidationError, match="draw_probs"):
+        SubsampleDraw(indices=np.array([0]), draw_probs=np.array([np.nan]), seed=0)
+
+
 @pytest.fixture(scope="module")
 def tall_student_t():
     spec = SyntheticSpec(
