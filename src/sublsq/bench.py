@@ -26,7 +26,7 @@ from .errors import SubLsqError, ValidationError
 from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_quota, iboss_select
 from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities, slev_alpha
 from .rng import SeedLike, derive_rng
-from .sampler import draw, subsample_estimate
+from .sampler import _draw_from_table, alias_table, subsample_estimate
 from .volume import check_enumerable, volume_sample
 
 DESIGN_FAMILIES = ("gaussian", "student_t", "t5_line")
@@ -51,6 +51,9 @@ _UP_FRONT_RULES = {
     "IBOSS": lambda n, p, r: iboss_quota(r, p),
     "VOL": lambda n, p, r: check_enumerable(n),
 }
+
+# What fails one estimate on its bootstrap sample, not the whole run.
+_FAILURES = (SubLsqError, np.linalg.LinAlgError)
 
 DEFAULT_REPS = 100
 DEFAULT_R_MULTIPLES = (5, 10, 15, 20)
@@ -135,6 +138,12 @@ class BenchRecord:
     ``failed`` is set when the method errored on more than half of the
     replicates; the EMSE statistics then refer to no replicates and are
     NaN. Otherwise they summarize the successful replicates only.
+
+    ``mean_time_ms`` is the mean over the successful replicates (NaN if
+    none succeeded) of the time of one estimate from scratch: what the
+    method builds once per bootstrap sample for every r (a scheme's
+    probabilities and alias table, the full fit) plus this r's own draw
+    and fit, or its selection and fit.
     """
 
     method: str
@@ -169,22 +178,63 @@ def dataset_fingerprint(data: Dataset) -> str:
     return h.hexdigest()
 
 
-def _method_beta(
+def _method_cells(
     method: str,
     sample: Dataset,
-    r: int,
+    beta_full: np.ndarray,
+    r_values: tuple[int, ...],
     seed_key: tuple,
     alpha: float,
     criterion: str,
-) -> np.ndarray:
-    if method == "OLS":
-        return ols_fit(sample).beta
-    if method in SCHEMES:
-        pv = compute_probabilities(sample, method, alpha if method == "SLEV" else None)
-        mode = "plain" if method == "RAND" else "weighted"
-        return subsample_estimate(sample, draw(pv, r, seed_key), mode).beta
-    picked = SELECTIONS[method](sample, r, seed_key, criterion)
-    return ols_fit(sample.take_rows(getattr(picked, "indices", picked))).beta
+) -> list:
+    """One method on one bootstrap sample at every r: per r, (squared error
+    against ``beta_full``, milliseconds), or None where the estimate failed.
+
+    What depends on the sample alone (a scheme's probabilities and alias
+    table, or the full fit) is built once for every r; if that raises,
+    every r fails. Its time is added to each r's own draw and fit, so a
+    cell's time is that of one estimate from scratch. The draw at r is
+    keyed by ``seed_key + (r,)``.
+    """
+    t0 = time.perf_counter()
+    try:
+        if method == "OLS":
+            beta = ols_fit(sample).beta
+
+            def estimate(r, key):
+                return beta
+
+        elif method in SCHEMES:
+            pv = compute_probabilities(sample, method, alpha if method == "SLEV" else None)
+            table = alias_table(pv.probs)
+            mode = "plain" if method == "RAND" else "weighted"
+
+            def estimate(r, key):
+                return subsample_estimate(sample, _draw_from_table(pv, table, r, key), mode).beta
+
+        else:
+
+            def estimate(r, key):
+                picked = SELECTIONS[method](sample, r, key, criterion)
+                return ols_fit(sample.take_rows(getattr(picked, "indices", picked))).beta
+
+    except _FAILURES:
+        return [None] * len(r_values)
+    shared = time.perf_counter() - t0
+
+    cells = []
+    for r in r_values:
+        t0 = time.perf_counter()
+        try:
+            diff = estimate(r, seed_key + (r,)) - beta_full
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq = float(diff @ diff)
+        except _FAILURES:
+            sq = math.nan
+        # an overflowing squared error fails the replicate, as a raise does
+        ms = (shared + time.perf_counter() - t0) * 1e3
+        cells.append((sq, ms) if math.isfinite(sq) else None)
+    return cells
 
 
 def run_emse(
@@ -199,6 +249,8 @@ def run_emse(
 ) -> BenchmarkReport:
     """Bootstrap-replicate EMSE of each method at each subsample size.
 
+    Per replicate, each method builds what depends on the bootstrap
+    sample alone once, and draws every r from it (see ``_method_cells``).
     Replicates are embarrassingly parallel; pass ``workers > 1`` to spread
     them over threads. The report is identical for any worker count.
     A method and r that break a rule every replicate would break (IBOSS
@@ -235,20 +287,10 @@ def run_emse(
         sample = data.take_rows(boot_rng.integers(0, n, size=n))
         cell: dict = {}
         for method in methods:
-            for r in r_values:
-                t0 = time.perf_counter()
-                try:
-                    beta = _method_beta(
-                        method, sample, r, (seed, "method", method, rep, r), alpha, criterion
-                    )
-                    diff = beta - beta_full
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        sq = float(diff @ diff)
-                    # an overflowing squared error fails the replicate, as a raise does
-                    result = sq if math.isfinite(sq) else None
-                except (SubLsqError, np.linalg.LinAlgError):
-                    result = None
-                cell[(method, r)] = (result, (time.perf_counter() - t0) * 1e3)
+            results = _method_cells(
+                method, sample, beta_full, r_values, (seed, "method", method, rep), alpha, criterion
+            )
+            cell.update(((method, r), res) for r, res in zip(r_values, results))
         return cell
 
     if workers == 1:
@@ -260,23 +302,23 @@ def run_emse(
     records = []
     for method in methods:
         for r in r_values:
-            sq = [c[(method, r)][0] for c in cells]
-            times = [c[(method, r)][1] for c in cells]
-            ok = [v for v in sq if v is not None]
+            ok = [c[(method, r)] for c in cells if c[(method, r)] is not None]
             n_failed = reps - len(ok)
             failed = 2 * n_failed > reps
             if failed:
                 emse, sd = float("nan"), float("nan")
             else:
-                emse = float(np.mean(ok))
-                sd = float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0
+                sq = [v for v, _ in ok]
+                emse = float(np.mean(sq))
+                sd = float(np.std(sq, ddof=1)) if len(sq) > 1 else 0.0
+            mean_ms = float(np.mean([ms for _, ms in ok])) if ok else float("nan")
             records.append(
                 BenchRecord(
                     method=method,
                     r=r,
                     emse=emse,
                     emse_sd=sd,
-                    mean_time_ms=float(np.mean(times)),
+                    mean_time_ms=mean_ms,
                     n_ok=len(ok),
                     n_failed=n_failed,
                     failed=failed,

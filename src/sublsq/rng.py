@@ -42,5 +42,7 @@ def derive_rng(*keys) -> np.random.Generator:
 
     Identical keys give bit-identical streams; distinct keys give streams
     that are independent for practical purposes (SeedSequence hashing).
+    The stream is ``np.random.default_rng``'s for the same entropy; building
+    the generator directly skips that function's dispatch on its argument.
     """
-    return np.random.default_rng(seed_entropy(*keys))
+    return np.random.Generator(np.random.PCG64(seed_entropy(*keys)))

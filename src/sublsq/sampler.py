@@ -11,7 +11,9 @@ A constant vector, such as RAND's, gets the table ``(1, i)`` at once,
 the one the general path builds there. ``draw`` skips the shape, size
 and sign checks of ``SubsampleDraw``, which its alias cells meet by
 construction, and keeps the check that drawn probabilities lie in
-(0, 1]. Neither shortcut changes a draw.
+(0, 1]. Neither shortcut changes a draw. ``draw`` builds the table and
+hands it to ``_draw_from_table``, the one draw path; the bootstrap
+benchmark builds each table once and draws every subsample size from it.
 ``subsample_estimate`` then fits either a plain OLS on the drawn rows or
 a weighted LS with weights equal to the reciprocal drawn probabilities,
 which is the correction that keeps non-uniform schemes asymptotically
@@ -137,7 +139,14 @@ def draw(probs: ProbabilityVector, r: int, seed: SeedLike) -> SubsampleDraw:
     """
     if r < 1:
         raise ValidationError(f"subsample size must be at least 1, got {r}")
-    accept, alias = alias_table(probs.probs)
+    return _draw_from_table(probs, alias_table(probs.probs), r, seed)
+
+
+def _draw_from_table(
+    probs: ProbabilityVector, table: tuple[np.ndarray, np.ndarray], r: int, seed: SeedLike
+) -> SubsampleDraw:
+    """``draw`` from the alias table of ``probs`` already built; r >= 1."""
+    accept, alias = table
     rng = derive_rng(seed)
     cells = rng.integers(0, probs.n, size=r)
     u = rng.random(r)

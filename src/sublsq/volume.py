@@ -95,12 +95,22 @@ def _gram_logdets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray 
     return out
 
 
-def _leveraged_proposal(data: Dataset) -> np.ndarray:
-    """The i.i.d. proposal ``q = leverage/p`` of leveraged volume sampling."""
+def _leveraged_proposal(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The i.i.d. proposal ``q = leverage/p`` of leveraged volume sampling, and ``1/q``.
+
+    A nonzero row far smaller than the others (1e-180 times, say) can have
+    a leverage that underflows. Where ``1/q`` would not be finite, ``q``
+    and ``1/q`` are set to 0: the row is never proposed, and its target
+    mass, of the order of its true ``q`` (below 1e-308), is dropped.
+    """
     U, s, _ = full_rank_svd(data, "leveraged volume sampling")
     lev = np.einsum("ij,ij->i", U, U)
     reject_zero_rows(data.design, lev, s, "leveraged volume sampling")
-    return lev / data.p
+    q = lev / data.p
+    live = q > 1.0 / np.finfo(np.float64).max
+    q = np.where(live, q, 0.0)
+    inv_q = np.divide(1.0, q, out=np.zeros_like(q), where=live)
+    return q, inv_q
 
 
 def check_enumerable(n: int) -> None:
@@ -151,13 +161,13 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
         raise CapacityError(
             f"sequence enumeration needs n^r <= {LEVERAGED_ENUMERATION_LIMIT}"
         )
-    q = _leveraged_proposal(data)
+    q, inv_q = _leveraged_proposal(data)
 
     m = n**r
     grid = np.unravel_index(np.arange(m), (n,) * r)
     sequences = np.stack(grid, axis=1).astype(np.intp)
-    log_weights = _gram_logdets(data.design, sequences, scale=1.0 / q)
-    log_weights += np.log(q)[sequences].sum(axis=1)
+    log_weights = _gram_logdets(data.design, sequences, scale=inv_q)
+    log_weights += np.log(q, out=np.full_like(q, -np.inf), where=q > 0)[sequences].sum(axis=1)
     top = float(log_weights.max())
     if top == -math.inf:
         raise DegenerateDistributionError("all sequence determinants vanish")
@@ -168,7 +178,8 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
 def _inverse_cdf(weights: np.ndarray):
     """Sampler mapping uniforms in [0, 1) to indices drawn proportionally to ``weights``."""
     cum = np.cumsum(weights / weights.sum())
-    cum[-1] = 1.0
+    # so that no u < 1 lands past the last positive weight
+    cum[np.flatnonzero(weights)[-1] :] = 1.0
     return lambda u: np.searchsorted(cum, u, side="right")
 
 
@@ -195,11 +206,13 @@ def _leveraged_rejection(
     bound ``(r * max_i ||x_i||^2 / q_i / p)^p``, which dominates every
     determinant, so accepted sequences follow the target exactly. The test
     runs in log space, so neither the bound nor a determinant over- or
-    underflows at extreme row scales.
+    underflows at extreme row scales. The bound needs to cover only rows
+    that can be proposed, those with ``q > 0``.
     """
-    q = _leveraged_proposal(data)
+    q, inv_q = _leveraged_proposal(data)
     row_sq = np.einsum("ij,ij->i", data.design, data.design)
-    log_bound = data.p * math.log(r * float(np.max(row_sq / q)) / data.p)
+    ratio = np.divide(row_sq, q, out=np.zeros_like(q), where=q > 0)
+    log_bound = data.p * math.log(r * float(np.max(ratio)) / data.p)
 
     propose = _inverse_cdf(q)
     collected: list[np.ndarray] = []
@@ -214,7 +227,7 @@ def _leveraged_rejection(
                 "is too loose for this design"
             )
         proposals = propose(rng.random((batch, r))).astype(np.intp)
-        sign, logdet = np.linalg.slogdet(_information(data.design, proposals, 1.0 / q))
+        sign, logdet = np.linalg.slogdet(_information(data.design, proposals, inv_q))
         keep = (sign > 0) & (np.log(rng.random(batch)) <= logdet - log_bound)
         used += batch
         if np.any(keep):

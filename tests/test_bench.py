@@ -1,20 +1,28 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sublsq.bench as bench_mod
 from sublsq import (
     CapacityError,
     Dataset,
+    SubLsqError,
     SyntheticSpec,
     ValidationError,
+    compute_probabilities,
     default_r_grid,
+    draw,
     t5_line_spec,
     generate_synthetic,
+    iboss_select,
     ols_fit,
     run_emse,
+    subsample_estimate,
 )
 from sublsq.bench import DEFAULT_REPS, REGISTERED_METHODS, dataset_fingerprint
+from sublsq.rng import derive_rng
 
 
 def _records_by_key(report):
@@ -210,3 +218,126 @@ def test_registered_methods_keep_their_names_and_order():
         "OLS", "RAND", "BLEV", "SLEV", "IC", "RL", "PL",
         "IBOSS", "GREEDY", "EXCHANGE", "VOL", "LEVVOL",
     )
+
+
+def _restated_records(data, methods, r_values, reps, seed, alpha=0.9):
+    """run_emse's records by a literal per-cell loop: for every (rep, method,
+    r), probabilities, then draw, then estimate, with nothing shared."""
+    beta_full = ols_fit(data).beta
+    out = {}
+    for method in methods:
+        for r in r_values:
+            ok = []
+            for rep in range(reps):
+                sample = data.take_rows(derive_rng(seed, "bootstrap", rep).integers(0, data.n, size=data.n))
+                try:
+                    if method == "IBOSS":
+                        beta = ols_fit(sample.take_rows(iboss_select(sample, r).indices)).beta
+                    else:
+                        pv = compute_probabilities(sample, method, alpha if method == "SLEV" else None)
+                        d = draw(pv, r, (seed, "method", method, rep, r))
+                        mode = "plain" if method == "RAND" else "weighted"
+                        beta = subsample_estimate(sample, d, mode).beta
+                except SubLsqError:
+                    continue
+                diff = beta - beta_full
+                ok.append(float(diff @ diff))
+            n_failed = reps - len(ok)
+            failed = 2 * n_failed > reps
+            emse = float("nan") if failed else float(np.mean(ok))
+            sd = float("nan") if failed else (float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0)
+            out[(method, r)] = (emse, sd, len(ok), n_failed, failed)
+    return out
+
+
+def _spiked_design():
+    # the third column is nonzero in one row only, so a bootstrap sample that
+    # misses that row (about 37% of them) is rank deficient
+    base = generate_synthetic(t5_line_spec(60), 41)
+    spike = np.zeros(60)
+    spike[17] = 2.5
+    design = np.column_stack([base.design, spike])
+    return Dataset(design=design, response=base.response + spike)
+
+
+HOIST_CASES = {
+    "t5_line": (lambda: generate_synthetic(t5_line_spec(300), 40), (8, 12, 20), 6),
+    "student_t_p10": (
+        lambda: generate_synthetic(
+            SyntheticSpec(n=400, p=10, design_family="student_t", beta0=(1.0,) * 10, noise_sd=1.0, df=3.0), 42
+        ),
+        (20, 40),
+        5,
+    ),
+    "rank_deficient_samples": (_spiked_design, (6, 12, 18), 10),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(HOIST_CASES))
+def test_records_match_a_literal_per_cell_restatement(case, workers):
+    # probabilities and alias tables are built once per (replicate, scheme)
+    # and shared by every r; the records keep every bit of the per-cell loop
+    make, r_values, reps = HOIST_CASES[case]
+    data = make()
+    methods = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL", "IBOSS")
+    report = run_emse(data, methods, r_values, reps=reps, seed=11, workers=workers)
+    expected = _restated_records(data, methods, r_values, reps, 11)
+    got = {
+        (rec.method, rec.r): (rec.emse, rec.emse_sd, rec.n_ok, rec.n_failed, rec.failed)
+        for rec in report.records
+    }
+    assert got.keys() == expected.keys()
+    for key, want in expected.items():
+        have = got[key]
+        assert have[2:] == want[2:], key
+        for a, b in zip(have[:2], want[:2]):
+            assert a == b or (np.isnan(a) and np.isnan(b)), key
+    if case == "rank_deficient_samples":
+        # the failure path ran: a scheme's probabilities raised on some
+        # replicates, and then every r of that replicate failed
+        for method in ("BLEV", "SLEV", "IC", "RL"):
+            failures = {got[(method, r)][3] for r in r_values}
+            assert len(failures) == 1 and 0 < failures.pop() < reps
+
+
+def _fake_clock(monkeypatch):
+    """Freeze run_emse's clock; the returned function advances it by seconds."""
+    now = [0.0]
+    monkeypatch.setattr(bench_mod, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def advance(seconds):
+        now[0] += seconds
+
+    return advance
+
+
+def test_mean_time_is_shared_build_plus_own_draw_and_fit_over_successes(monkeypatch):
+    advance = _fake_clock(monkeypatch)
+    real_probs, real_estimate = bench_mod.compute_probabilities, bench_mod.subsample_estimate
+
+    def probs(*args):
+        out = real_probs(*args)
+        advance(1.0)
+        return out
+
+    def estimate(sample, d, mode):
+        advance(d.r / 1000)
+        return real_estimate(sample, d, mode)
+
+    monkeypatch.setattr(bench_mod, "compute_probabilities", probs)
+    monkeypatch.setattr(bench_mod, "subsample_estimate", estimate)
+    report = run_emse(_spiked_design(), ["BLEV"], [6, 12], reps=10, seed=11)
+    for rec in report.records:
+        # some replicates failed; they are left out of the mean, not counted as 0 ms
+        assert 0 < rec.n_failed < 10
+        assert rec.mean_time_ms == pytest.approx(1000.0 + rec.r)
+
+
+def test_mean_time_is_nan_when_every_replicate_fails():
+    data = generate_synthetic(heavy_tailed_spec(), 8)
+    x = data.design[:, 1]
+    data = Dataset(np.column_stack([x, x]), data.response)
+    recs = _records_by_key(run_emse(data, ["RAND", "BLEV"], [10], reps=4, seed=9))
+    assert recs[("BLEV", 10)].n_ok == 0 and np.isnan(recs[("BLEV", 10)].mean_time_ms)
+    assert recs[("RAND", 10)].mean_time_ms > 0

@@ -1,3 +1,5 @@
+import time
+import warnings
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -14,6 +16,7 @@ from sublsq import (
     standard_volume_distribution,
     volume_sample,
 )
+from sublsq.volume import LEVERAGED_ENUMERATION_LIMIT, _inverse_cdf
 
 
 def _column_dataset(values):
@@ -138,6 +141,55 @@ def test_leveraged_rejection_is_scale_invariant(scale):
         Dataset(design=scale * X, response=np.zeros(200)), 20, "leveraged", 5, size=30
     )
     assert np.array_equal(scaled, base)
+
+
+# One nonzero row far smaller than the others, in a full-rank design with
+# no all-zero row: at 1e-156 its leverage is subnormal, so 1/q overflows;
+# at 1e-180 it underflows to 0.
+@pytest.mark.parametrize("row_scale", [1e-156, 1e-180])
+def test_leveraged_rejection_with_underflowed_leverage_is_quick_and_quiet(row_scale):
+    X = np.random.default_rng(0).standard_normal((200, 2))
+    X[7] *= row_scale
+    d = Dataset(design=X, response=np.zeros(200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        t0 = time.perf_counter()
+        draws = volume_sample(d, 20, "leveraged", 1, size=5)
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    assert draws.shape == (5, 20)
+    assert not np.any(draws == 7)  # zero proposal mass, never proposed
+
+
+@pytest.mark.parametrize("row_scale", [1.0, 1e-156, 1e-180])
+def test_leveraged_rejection_matches_enumerated_masses(row_scale):
+    # n^r = 125 sequences, few enough to enumerate. Bound stated up front:
+    # total variation <= 0.03 over 100,000 draws, against an expected
+    # sampling TV of about 0.5 * sqrt(2 / (pi * N)) * sum(sqrt(mass)) <= 0.012.
+    n, r = 5, 3
+    assert n**r <= LEVERAGED_ENUMERATION_LIMIT
+    X = np.random.default_rng(31).standard_normal((n, 2))
+    X[2] *= row_scale
+    d = Dataset(design=X, response=np.zeros(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dist = leveraged_volume_distribution(d, r)
+        with pytest.warns(UserWarning, match="r > 4 p"):
+            draws = volume_sample(d, r, "leveraged", 37, size=100_000, enumeration_limit=0)
+    exact = {tuple(s): m for s, m in zip(dist.subsets, dist.masses)}
+    if row_scale != 1.0:
+        # row 2's leverage underflows: it has no mass and is never drawn
+        assert all(m == 0.0 for s, m in exact.items() if 2 in s)
+        assert not np.any(draws == 2)
+    assert _tv(draws, exact) <= 0.03
+
+
+def test_inverse_cdf_never_returns_a_trailing_zero_weight():
+    # cumsum of ten tenths rounds to 1 - 2^-53, below the top uniform
+    weights = np.array([0.1] * 10 + [0.0])
+    sample = _inverse_cdf(weights)
+    top = np.nextafter(1.0, 0.0)
+    assert sample(np.array([0.0, 0.5, top])).tolist() == [0, 5, 9]
 
 
 def test_permutation_equivariance():
