@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, full_rank_svd, ols_fit
-from .errors import NumericalError, RankError, ValidationError
+from .core import Dataset, dataset_svd, full_rank_svd, ols_fit
+from .errors import NumericalError, ValidationError
 from .probs import ProbabilityVector
 
 # Power of the singular values that weighs each direction in trace_amse.
@@ -81,7 +81,12 @@ class RegularityDiagnostics:
     condition_ratio: float
 
 
-def _check_probs(probs: ProbabilityVector, n: int) -> np.ndarray:
+def _omega(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> np.ndarray:
+    """The diagonal of Omega, 1 / (r pi), once r, sigma2 and pi are checked."""
+    if r < 1:
+        raise ValidationError(f"subsample size r must be at least 1, got {r}")
+    if not sigma2 > 0 or not np.isfinite(sigma2):
+        raise ValidationError(f"sigma2 must be a positive real, got {sigma2}")
     pi = probs.probs
     if pi.shape[0] != n:
         raise ValidationError("probability vector length does not match the dataset")
@@ -90,23 +95,15 @@ def _check_probs(probs: ProbabilityVector, n: int) -> np.ndarray:
             "every sampling probability must be strictly positive here; "
             "zero-probability rows make the weight matrix undefined"
         )
-    return pi
-
-
-def _check_scalars(r: int, sigma2: float) -> None:
-    if r < 1:
-        raise ValidationError(f"subsample size r must be at least 1, got {r}")
-    if not sigma2 > 0 or not np.isfinite(sigma2):
-        raise ValidationError(f"sigma2 must be a positive real, got {sigma2}")
+    return 1.0 / (r * pi)
 
 
 def avar_matrix(
     data: Dataset, probs: ProbabilityVector, r: int, sigma2: float
 ) -> AsymptoticVariance:
     """Asymptotic covariance of the weighted subsample estimator."""
-    _check_scalars(r, sigma2)
+    omega = _omega(probs, data.n, r, sigma2)
     U, s, Vt = full_rank_svd(data, "the asymptotic variance")
-    omega = 1.0 / (r * _check_probs(probs, data.n))
     A = Vt.T / s
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
         m = sigma2 * (A @ (np.eye(data.p) + U.T @ (U * omega[:, None])) @ A.T)
@@ -130,9 +127,8 @@ def trace_amse(
     """
     if target not in TARGETS:
         raise ValidationError(f"target must be one of {TARGETS}, got {target!r}")
-    _check_scalars(r, sigma2)
+    omega = _omega(probs, data.n, r, sigma2)
     U, s, _ = full_rank_svd(data, "the asymptotic MSE")
-    omega = 1.0 / (r * _check_probs(probs, data.n))
     per_direction = 1.0 + np.einsum("ik,ik,i->k", U, U, omega)
     with np.errstate(over="ignore"):  # checked right below
         value = sigma2 * float(s ** _TARGET_EXPONENTS[target] @ per_direction)
@@ -145,13 +141,9 @@ def trace_amse(
 def sigma2_estimate(data: Dataset) -> float:
     """Residual noise variance from the full-sample OLS fit."""
     if data.n <= data.p:
-        raise ValidationError(
-            f"noise estimation needs n > p, got n={data.n}, p={data.p}"
-        )
-    fit = ols_fit(data)
-    if fit.rank < data.p:
-        raise RankError("noise estimation requires a full-column-rank design")
-    return fit.residual_ss / (data.n - data.p)
+        raise ValidationError(f"noise estimation needs n > p, got n={data.n}, p={data.p}")
+    full_rank_svd(data, "noise estimation")
+    return ols_fit(data).residual_ss / (data.n - data.p)
 
 
 def regularity_diagnostics(
@@ -163,18 +155,15 @@ def regularity_diagnostics(
     """
     if r < 1:
         raise ValidationError(f"subsample size r must be at least 1, got {r}")
-    s = np.linalg.svd(data.design, compute_uv=False)
-    lam = (s * s) / data.n
-    lambda_max = float(lam[0])
-    lambda_min = float(lam[-1])
     pi = probs.probs
     if pi.shape[0] != data.n:
         raise ValidationError("probability vector length does not match the dataset")
-    # From s, not from lam: s*s/n underflows long before s[0]/s[-1] does.
+    s = dataset_svd(data)[1]
+    # From s, not from s*s/n, which underflows long before s[0]/s[-1] does.
     ratio = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
     return RegularityDiagnostics(
-        lambda_min=lambda_min,
-        lambda_max=lambda_max,
+        lambda_min=float(s[-1] * s[-1] / data.n),
+        lambda_max=float(s[0] * s[0] / data.n),
         pi_min=float(np.min(pi)),
         condition_ratio=float(ratio),
     )

@@ -26,7 +26,7 @@ from .errors import SubLsqError, ValidationError
 from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_quota, iboss_select
 from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities, slev_alpha
 from .rng import SeedLike, derive_rng
-from .sampler import _draw_from_table, alias_table, subsample_estimate
+from .sampler import alias_table_of, draw, subsample_estimate
 from .volume import check_enumerable, volume_sample
 
 DESIGN_FAMILIES = ("gaussian", "student_t", "t5_line")
@@ -206,11 +206,11 @@ def _method_cells(
 
         elif method in SCHEMES:
             pv = compute_probabilities(sample, method, alpha if method == "SLEV" else None)
-            table = alias_table(pv.probs)
+            alias_table_of(pv)  # built here, once for every r
             mode = "plain" if method == "RAND" else "weighted"
 
             def estimate(r, key):
-                return subsample_estimate(sample, _draw_from_table(pv, table, r, key), mode).beta
+                return subsample_estimate(sample, draw(pv, r, key), mode).beta
 
         else:
 

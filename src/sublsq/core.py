@@ -4,14 +4,17 @@ Everything else in the package builds on these three operations. Fits are
 computed from a rank-revealing SVD solve and always return the minimum-norm
 solution, so rank-deficient designs degrade gracefully instead of raising;
 a fit whose coefficients or residual sum of squares overflow raises
-NumericalError. Consumers that need a full-column-rank design factor it
-through ``full_rank_svd``, which raises RankError otherwise. All functions
-are pure and thread-safe; returned arrays are frozen.
+NumericalError. Each ``Dataset`` is factored once: ``dataset_svd`` keeps
+the first ``thin_svd`` of its design on the object for every later
+consumer, so an n x p ``U`` stays resident while the ``Dataset`` lives;
+``full_rank_svd`` reads it for consumers that need a full-column-rank
+design, and raises RankError otherwise. All functions are pure and
+thread-safe; returned arrays are frozen.
 
 ``Dataset`` checks its arrays once, at construction. ``take_rows`` checks
-only the row indices: rows of checked arrays need no second check, so it
-freezes their fancy-indexed copies, bit for bit ``Dataset(design[idx],
-response[idx])``.
+only the row indices (``row_indices``): rows of checked arrays need no
+second check, so it freezes their fancy-indexed copies, bit for bit
+``Dataset(design[idx], response[idx])``, and they have no factors yet.
 """
 
 from __future__ import annotations
@@ -34,6 +37,27 @@ __all__ = [
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def cached_on(obj, name: str, build):
+    """``obj.__dict__[name]``, set to ``build()`` at the first call; a race builds it twice."""
+    if name not in obj.__dict__:
+        obj.__dict__[name] = build()
+    return obj.__dict__[name]
+
+
+def row_indices(indices, n: float = np.inf, distinct: bool = False) -> np.ndarray:
+    """A nonempty vector of integers (not floats or bools) in [0, n), distinct
+    where asked, as contiguous intp; ValidationError otherwise."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+        raise ValidationError("row indices must be a nonempty vector of integers")
+    idx = np.ascontiguousarray(idx, dtype=np.intp)  # uint64 beyond intp wraps negative
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValidationError(f"row indices must lie in [0, {n})")
+    if distinct and np.unique(idx).size != idx.size:
+        raise ValidationError("row indices must be distinct")
+    return idx
 
 
 def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
@@ -81,11 +105,7 @@ class Dataset:
     def take_rows(self, indices) -> "Dataset":
         """Dataset restricted to the given rows (repeats allowed): a nonempty
         vector of integers in [0, n), ValidationError otherwise."""
-        idx = np.asarray(indices)
-        if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
-            raise ValidationError("row indices must be a nonempty vector of integers")
-        if idx.min() < 0 or idx.max() >= self.n:
-            raise ValidationError(f"row indices must lie in [0, {self.n})")
+        idx = row_indices(indices, self.n)
         sub = object.__new__(Dataset)
         object.__setattr__(sub, "design", _freeze(self.design[idx]))
         object.__setattr__(sub, "response", _freeze(self.response[idx]))
@@ -168,27 +188,32 @@ def thin_svd(design: np.ndarray):
     U, s, Vt = svd if svd is not None else np.linalg.svd(design, full_matrices=False)
     n, p = design.shape
     rank = int(np.count_nonzero(s > _rank_tolerance(s, n, p)))
-    return U, s, Vt, rank
+    return _freeze(U), _freeze(s), _freeze(Vt), rank
+
+
+def dataset_svd(data: Dataset):
+    """``thin_svd(data.design)``, computed at the first call, then kept on ``data``."""
+    return cached_on(data, "_thin_svd", lambda: thin_svd(data.design))
 
 
 def full_rank_svd(data: Dataset, what: str):
     """Thin SVD (U, s, Vt) of a full-column-rank design; RankError naming ``what`` otherwise."""
-    U, s, Vt, rank = thin_svd(data.design)
+    U, s, Vt, rank = dataset_svd(data)
     if rank < data.p:
         raise RankError(f"{what} requires a full-column-rank design (rank {rank} < p={data.p})")
     return U, s, Vt
 
 
-def _fit(data: Dataset, design: np.ndarray, rhs: np.ndarray, weights=None) -> EstimateResult:
-    """Minimum-norm least-squares fit of ``rhs`` on ``design``, scored on ``data``.
+def _fit(data: Dataset, svd, rhs: np.ndarray, weights=None) -> EstimateResult:
+    """Minimum-norm least-squares fit of ``rhs`` on the design whose ``thin_svd`` is ``svd``.
 
-    ``design`` and ``rhs`` are those of ``data``, scaled by the square roots
-    of ``weights`` where given; ``rank`` is the numerical rank used, and
-    ``residual_ss`` the (weighted) residual sum of squares on ``data``.
+    That design and ``rhs`` are those of ``data``, scaled by the square
+    roots of ``weights`` where given; ``rank`` is the numerical rank used,
+    and ``residual_ss`` the (weighted) residual sum of squares on ``data``.
     NumericalError where the coefficients or that sum are not finite;
     numpy's overflow warnings are silenced, since that raises.
     """
-    U, s, Vt, rank = thin_svd(design)
+    U, s, Vt, rank = svd
     with np.errstate(over="ignore", invalid="ignore"):
         # rank 0 (an all-zero design) gives the zero vector
         beta = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / s[:rank])
@@ -210,7 +235,7 @@ def ols_fit(data: Dataset) -> EstimateResult:
     Raises NumericalError where the coefficients or the residual sum of
     squares overflow.
     """
-    return _fit(data, data.design, data.response)
+    return _fit(data, dataset_svd(data), data.response)
 
 
 def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
@@ -230,7 +255,7 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     if np.any(w <= 0):
         raise ValidationError("weights must be strictly positive")
     sw = np.sqrt(w)
-    return _fit(data, data.design * sw[:, None], data.response * sw, w)
+    return _fit(data, thin_svd(data.design * sw[:, None]), data.response * sw, w)
 
 
 def leverage_scores(data: Dataset) -> np.ndarray:
@@ -240,11 +265,24 @@ def leverage_scores(data: Dataset) -> np.ndarray:
     Scores lie in [0, 1] and sum to the design rank. For a full-rank
     design this equals ``x_i' (X'X)^{-1} x_i`` and the scores sum to p.
     """
-    U, _, _, rank = thin_svd(data.design)
-    scores = np.einsum("ij,ij->i", U[:, :rank], U[:, :rank])
+    U, _, _, rank = dataset_svd(data)
+    scores = _squared_row_norms(U[:, :rank])
     # Projection diagonals live in [0, 1]; shave off rounding overshoot.
     np.clip(scores, 0.0, 1.0, out=scores)
     return _freeze(scores)
+
+
+def _squared_row_norms(U: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", U, U)
+
+
+def full_rank_leverage(data: Dataset, what: str) -> np.ndarray:
+    """Leverage of every row, unclipped, of a full-column-rank design with no
+    all-zero row; RankError or DegenerateDistributionError naming ``what`` otherwise."""
+    U, s, _ = full_rank_svd(data, what)
+    lev = _squared_row_norms(U)
+    reject_zero_rows(data.design, lev, s, what)
+    return lev
 
 
 def reject_zero_rows(design: np.ndarray, lev: np.ndarray, s: np.ndarray, what: str) -> None:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, row_indices
 from .errors import SingularSubsetError, ValidationError
 
 CRITERIA = ("A", "D", "E")
@@ -78,11 +78,7 @@ class SubsetSelection:
     value: float
 
     def __post_init__(self):
-        idx = np.sort(np.ascontiguousarray(self.indices, dtype=np.intp))
-        if idx.ndim != 1 or idx.size < 1:
-            raise ValidationError("indices must be a nonempty vector")
-        if np.any(idx < 0) or len(set(idx.tolist())) != idx.size:
-            raise ValidationError("indices must be distinct and nonnegative")
+        idx = np.sort(row_indices(self.indices, distinct=True))
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
@@ -272,13 +268,9 @@ def _best_swap(
 
 
 def _check_indices(data: Dataset, indices) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+    idx = row_indices(indices, data.n, distinct=True)
     if idx.size < data.p:
         raise ValidationError(f"need at least p={data.p} rows, got {idx.size}")
-    if np.any(idx < 0) or np.any(idx >= data.n):
-        raise ValidationError("indices out of range")
-    if len(set(idx.tolist())) != idx.size:
-        raise ValidationError("indices must be distinct")
     return idx
 
 

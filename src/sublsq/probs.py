@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, full_rank_svd, reject_zero_rows
+from .core import Dataset, full_rank_leverage, full_rank_svd, reject_zero_rows
 from .errors import DegenerateDistributionError, ValidationError
 
 SCHEMES = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")
@@ -127,21 +127,19 @@ def compute_probabilities(
         norms = _row_norms(X, lambda block: np.ldexp(block, -exponent))
         return ProbabilityVector(_normalized(norms, "row-norm"), "PL")
 
-    U, s, _ = full_rank_svd(data, f"scheme {scheme}")
-    # All-zero rows would break the weighting later on.
     if scheme == "IC":
+        U, s, _ = full_rank_svd(data, "scheme IC")
         # Rows of X (X'X)^{-1} are the rows of U diag(1/s) V', and V' is
         # orthogonal, so the norms come straight from the scaled U rows. Scaling
         # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column
         # scale, and keeps each squared norm at most the row's leverage.
         ratio = s[-1] / s
         ic_raw = _row_norms(U, lambda block: block * ratio)
-        reject_zero_rows(data.design, np.square(ic_raw), s, f"scheme {scheme}")
+        # all-zero rows would break the weighting later on
+        reject_zero_rows(data.design, np.square(ic_raw), s, "scheme IC")
         return ProbabilityVector(_normalized(ic_raw, "inverse-covariance"), "IC")
 
-    lev = np.einsum("ij,ij->i", U, U)
-    reject_zero_rows(data.design, lev, s, f"scheme {scheme}")
-
+    lev = full_rank_leverage(data, f"scheme {scheme}")
     if scheme in ("BLEV", "SLEV"):
         blev = _normalized(lev, "leverage")
         if scheme == "BLEV":

@@ -1,23 +1,17 @@
 """Subsample draws and subsample least-squares estimates.
 
 ``draw`` samples row indices i.i.d. with replacement from a probability
-vector using the alias method (one O(n) table build, O(1) per draw). The
-table is built in vectorized numpy from prefix sums and one sorted search
-of them, and it is the table Vose's stack loop builds, so draws equal
-those of the loop. The one exception is exactly tied probabilities that
-put a cell boundary within rounding error, where the two constructions
-can split that boundary differently; either table has the law ``probs``.
-A constant vector, such as RAND's, gets the table ``(1, i)`` at once,
-the one the general path builds there. ``draw`` skips the shape, size
-and sign checks of ``SubsampleDraw``, which its alias cells meet by
-construction, and keeps the check that drawn probabilities lie in
-(0, 1]. Neither shortcut changes a draw. ``draw`` builds the table and
-hands it to ``_draw_from_table``, the one draw path; the bootstrap
-benchmark builds each table once and draws every subsample size from it.
-``subsample_estimate`` then fits either a plain OLS on the drawn rows or
-a weighted LS with weights equal to the reciprocal drawn probabilities,
-which is the correction that keeps non-uniform schemes asymptotically
-unbiased for the full-sample estimator.
+vector by the alias method: one O(n) table build, then O(1) per index.
+``alias_table_of`` keeps a vector's table on it, for callers that draw
+many times from one vector; ``draw`` reads a kept table but keeps none
+itself, since a kept vector would hold it, 16 bytes per row, for life.
+``alias_table`` builds the table Vose's stack loop builds, up to rounding
+at exact ties. ``draw`` skips the index checks of ``SubsampleDraw``,
+which its alias cells meet by construction, and keeps the check that
+drawn probabilities lie in (0, 1]; that changes no draw. ``subsample_estimate`` then fits either a
+plain OLS on the drawn rows or a weighted LS with weights equal to the
+reciprocal drawn probabilities, which is the correction that keeps
+non-uniform schemes asymptotically unbiased for the full-sample estimator.
 
 Draws are a pure function of (probabilities, r, seed): the same triple is
 bit-identical no matter where or when it runs.
@@ -29,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EstimateResult, ols_fit, weighted_ls_fit
+from .core import Dataset, EstimateResult, cached_on, ols_fit, row_indices, weighted_ls_fit
 from .errors import ValidationError
 from .probs import ProbabilityVector
 from .rng import SeedLike, derive_rng
@@ -53,14 +47,10 @@ class SubsampleDraw:
     seed: SeedLike
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.intp)
+        idx = row_indices(self.indices)
         dp = np.ascontiguousarray(self.draw_probs, dtype=np.float64)
-        if idx.ndim != 1 or dp.ndim != 1 or idx.shape != dp.shape:
+        if idx.shape != dp.shape:
             raise ValidationError("indices and draw_probs must be matching vectors")
-        if idx.size < 1:
-            raise ValidationError("a draw must contain at least one index")
-        if np.any(idx < 0):
-            raise ValidationError("indices must be nonnegative")
         _set_draw_arrays(self, idx, dp)
 
     @property
@@ -132,6 +122,11 @@ def alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
+def alias_table_of(probs: ProbabilityVector) -> tuple[np.ndarray, np.ndarray]:
+    """``alias_table(probs.probs)``, built at the first call and kept on ``probs`` for ``draw``."""
+    return cached_on(probs, "_alias_table", lambda: alias_table(probs.probs))
+
+
 def draw(probs: ProbabilityVector, r: int, seed: SeedLike) -> SubsampleDraw:
     """Draw ``r`` indices i.i.d. with replacement from ``probs``.
 
@@ -139,14 +134,7 @@ def draw(probs: ProbabilityVector, r: int, seed: SeedLike) -> SubsampleDraw:
     """
     if r < 1:
         raise ValidationError(f"subsample size must be at least 1, got {r}")
-    return _draw_from_table(probs, alias_table(probs.probs), r, seed)
-
-
-def _draw_from_table(
-    probs: ProbabilityVector, table: tuple[np.ndarray, np.ndarray], r: int, seed: SeedLike
-) -> SubsampleDraw:
-    """``draw`` from the alias table of ``probs`` already built; r >= 1."""
-    accept, alias = table
+    accept, alias = probs.__dict__.get("_alias_table") or alias_table(probs.probs)
     rng = derive_rng(seed)
     cells = rng.integers(0, probs.n, size=r)
     u = rng.random(r)

@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Dataset, full_rank_svd, reject_zero_rows
+from .core import Dataset, full_rank_leverage, full_rank_svd
 from .errors import (
     CapacityError,
     DegenerateDistributionError,
@@ -103,14 +103,9 @@ def _leveraged_proposal(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     and ``1/q`` are set to 0: the row is never proposed, and its target
     mass, of the order of its true ``q`` (below 1e-308), is dropped.
     """
-    U, s, _ = full_rank_svd(data, "leveraged volume sampling")
-    lev = np.einsum("ij,ij->i", U, U)
-    reject_zero_rows(data.design, lev, s, "leveraged volume sampling")
-    q = lev / data.p
+    q = full_rank_leverage(data, "leveraged volume sampling") / data.p
     live = q > 1.0 / np.finfo(np.float64).max
-    q = np.where(live, q, 0.0)
-    inv_q = np.divide(1.0, q, out=np.zeros_like(q), where=live)
-    return q, inv_q
+    return np.where(live, q, 0.0), np.divide(1.0, q, out=np.zeros_like(q), where=live)
 
 
 def check_enumerable(n: int) -> None:

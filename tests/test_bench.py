@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sublsq.bench as bench_mod
+import sublsq.sampler as sampler_mod
 from sublsq import (
     CapacityError,
     Dataset,
@@ -341,3 +342,24 @@ def test_mean_time_is_nan_when_every_replicate_fails():
     recs = _records_by_key(run_emse(data, ["RAND", "BLEV"], [10], reps=4, seed=9))
     assert recs[("BLEV", 10)].n_ok == 0 and np.isnan(recs[("BLEV", 10)].mean_time_ms)
     assert recs[("RAND", 10)].mean_time_ms > 0
+
+
+def test_emse_job_builds_one_alias_table_per_replicate_and_scheme(monkeypatch):
+    # and draws every r through the public draw
+    tables, draws = [], []
+    real_table, real_draw = sampler_mod.alias_table, bench_mod.draw
+
+    def table(probs):
+        tables.append(probs.shape)
+        return real_table(probs)
+
+    def counted_draw(pv, r, key):
+        draws.append(r)
+        return real_draw(pv, r, key)
+
+    monkeypatch.setattr(sampler_mod, "alias_table", table)
+    monkeypatch.setattr(bench_mod, "draw", counted_draw)
+    data = generate_synthetic(t5_line_spec(n=100), 4)
+    run_emse(data, ["BLEV", "IC"], [10, 20, 30], reps=3, seed=5)
+    assert len(tables) == 3 * 2
+    assert sorted(draws) == [10] * 6 + [20] * 6 + [30] * 6

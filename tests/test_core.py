@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,9 @@ from sublsq import (
     volume_sample,
     weighted_ls_fit,
 )
-from sublsq.asymptotics import TARGETS
+from sublsq.asymptotics import TARGETS, regularity_diagnostics, sigma2_estimate
+from sublsq.optdesign import SubsetSelection, criterion_value
+from sublsq.sampler import SubsampleDraw
 from sublsq.bench import SyntheticSpec, generate_synthetic
 
 from conftest import gaussian_dataset
@@ -300,8 +305,10 @@ for _t in TARGETS:
 def test_full_rank_consumers_reject_a_duplicated_column(name):
     x = np.random.default_rng(5).standard_normal(8)
     data = Dataset(design=np.column_stack([x, x]), response=np.zeros(8))
-    with pytest.raises(RankError, match=r"full-column-rank design \(rank 1 < p=2\)"):
-        FULL_RANK_CONSUMERS[name](data)
+    # the second call reads the stored factorization, and must raise as well
+    for _ in range(2):
+        with pytest.raises(RankError, match=r"full-column-rank design \(rank 1 < p=2\)"):
+            FULL_RANK_CONSUMERS[name](data)
 
 
 @pytest.mark.parametrize(
@@ -330,3 +337,104 @@ def test_take_rows_rejects_bad_indices(indices):
     data = gaussian_dataset(4, 3, 2)
     with pytest.raises(ValidationError, match="row indices"):
         data.take_rows(indices)
+
+
+def _counting_thin_svd(monkeypatch):
+    """Replace core.thin_svd by a wrapper that counts its calls; the count list."""
+    calls = []
+    original = core.thin_svd
+
+    def counted(design):
+        calls.append(design.shape)
+        return original(design)
+
+    monkeypatch.setattr(core, "thin_svd", counted)
+    return calls
+
+
+# Every consumer of a dataset's factorization, each called on the dataset itself.
+FACTORIZATION_CONSUMERS = dict(
+    FULL_RANK_CONSUMERS,
+    sigma2_estimate=sigma2_estimate,
+    regularity_diagnostics=lambda d: regularity_diagnostics(d, _uniform(d), 4),
+    leverage_scores=leverage_scores,
+    ols_fit=ols_fit,
+    volume_sample_standard=lambda d: volume_sample(d, 3, "standard", 0),
+    volume_sample_leveraged=lambda d: volume_sample(d, 3, "leveraged", 0),
+)
+
+
+@pytest.mark.filterwarnings("ignore:leveraged volume sampling is tuned")
+def test_every_consumer_shares_one_factorization(monkeypatch):
+    calls = _counting_thin_svd(monkeypatch)
+    data = gaussian_dataset(9, 12, 2)
+    for consume in FACTORIZATION_CONSUMERS.values():
+        consume(data)
+    assert calls == [(12, 2)]
+
+
+def test_stored_factorization_is_bit_equal_to_a_fresh_one():
+    data = gaussian_dataset(10, 40, 3)
+    ols_fit(data)
+    stored, fresh = core.dataset_svd(data), core.thin_svd(data.design)
+    assert stored[3] == fresh[3] == 3
+    for got, want in zip(stored[:3], fresh[:3]):
+        assert np.array_equal(got, want) and not got.flags.writeable
+
+
+def test_take_rows_does_not_inherit_the_factorization(monkeypatch):
+    calls = _counting_thin_svd(monkeypatch)
+    data = gaussian_dataset(11, 30, 3)
+    leverage_scores(data)
+    sub = data.take_rows(np.arange(20))
+    U, s, Vt, rank = core.dataset_svd(sub)
+    assert calls == [(30, 3), (20, 3)]
+    fresh = core.thin_svd(sub.design)
+    assert U.shape == (20, 3) and np.array_equal(U, fresh[0]) and np.array_equal(s, fresh[1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: criterion_value(d, [0.5, 1.7, 2.9], "D"),
+        lambda d: criterion_value(d, [True, False, True], "D"),
+        lambda d: SubsetSelection(indices=[0.5, 3.2], criterion="D", value=1.0),
+        lambda d: SubsetSelection(indices=[True, False], criterion="D", value=1.0),
+        lambda d: SubsampleDraw(indices=[1.5, 2.2], draw_probs=[0.5, 0.5], seed=0),
+        lambda d: SubsampleDraw(indices=[True, False], draw_probs=[0.5, 0.5], seed=0),
+        lambda d: d.take_rows([1.0, 2.0]),
+    ],
+    ids=["criterion_float", "criterion_bool", "selection_float", "selection_bool",
+         "draw_float", "draw_bool", "take_rows_float"],
+)
+def test_row_indices_must_be_integers(call):
+    # non-integer indices were once truncated (0.5 -> row 0) or, for bools,
+    # reached "indices must be distinct" by accident
+    with pytest.raises(ValidationError, match="row indices must be a nonempty vector of integers"):
+        call(gaussian_dataset(12, 6, 2))
+
+
+def test_threads_racing_on_one_dataset_read_equal_factors():
+    # No lock guards the stored factorization: threads that race on it only
+    # compute it twice, and every consumer still sees correct factors.
+    data = gaussian_dataset(13, 5_000, 4)
+    consumers = {
+        "factors": lambda d: (core.dataset_svd(d)[1], np.square(core.dataset_svd(d)[0]).sum(axis=1)),
+        "ols": lambda d: (ols_fit(d).beta,),
+        "leverage": lambda d: (leverage_scores(d),),
+        "blev": lambda d: (compute_probabilities(d, "BLEV").probs,),
+    }
+    want = {name: read(Dataset(data.design, data.response)) for name, read in consumers.items()}
+    names = list(consumers) * 16
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(consumers[name], data) for name in names]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for name, arrays in zip(names, got):
+        for a, b in zip(arrays, want[name]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    assert core.dataset_svd(data) is core.dataset_svd(data)

@@ -179,10 +179,14 @@ def _traced_peak(data, scheme):
 def test_ic_and_pl_weights_allocate_no_n_by_p_temporary():
     n, p = 100_000, 10
     X = np.random.default_rng(8).standard_t(5, size=(n, p))
-    data = Dataset(design=X, response=np.zeros(n))
+
+    def fresh():
+        # a Dataset keeps its factorization, so each peak needs its own
+        return Dataset(design=X, response=np.zeros(n))
+
     # IC needs the same factorization as BLEV and nothing larger than one n-vector more
-    assert _traced_peak(data, "IC") <= _traced_peak(data, "BLEV") + 8 * n
-    assert _traced_peak(data, "PL") < X.nbytes / 2
+    assert _traced_peak(fresh(), "IC") <= _traced_peak(fresh(), "BLEV") + 8 * n
+    assert _traced_peak(fresh(), "PL") < X.nbytes / 2
 
 
 def test_orthonormal_coincidence():

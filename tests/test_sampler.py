@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sublsq.sampler as sampler_mod
 from sublsq import (
     Dataset,
     ProbabilityVector,
@@ -308,3 +309,20 @@ def test_pipeline_is_pure_function_of_inputs():
         est = subsample_estimate(d, draw(pv, 30, (4, 2)), "weighted")
         return est.beta
     assert np.array_equal(run(), run())
+
+
+def test_alias_table_of_keeps_the_table_that_draw_reads(monkeypatch):
+    built = []
+    real = sampler_mod.alias_table
+    monkeypatch.setattr(sampler_mod, "alias_table", lambda p: built.append(p.size) or real(p))
+    pv = compute_probabilities(gaussian_dataset(3, 50, 2), "IC")
+    first = draw(pv, 20, 1)
+    # draw alone builds a table and keeps none
+    assert built == [50] and "_alias_table" not in vars(pv)
+    accept, alias = sampler_mod.alias_table_of(pv)
+    again = draw(pv, 20, 1)
+    draw(pv, 30, 2)
+    assert built == [50, 50]
+    assert np.array_equal(first.indices, again.indices)
+    ref_accept, ref_alias = real(pv.probs)
+    assert np.array_equal(accept, ref_accept) and np.array_equal(alias, ref_alias)
