@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, dataset_svd, full_rank_svd, ols_fit
+from .core import Dataset, dataset_svd, full_rank_svd, ols_fit, one_of, subset_size
 from .errors import NumericalError, ValidationError
 from .probs import ProbabilityVector
 
@@ -49,7 +49,7 @@ class AsymptoticVariance:
     r: int
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        m = np.array(self.matrix, dtype=np.float64, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("matrix must be square")
         if not np.isfinite(m).all():
@@ -81,15 +81,19 @@ class RegularityDiagnostics:
     condition_ratio: float
 
 
+def _paired(probs: ProbabilityVector, n: int, r: int) -> np.ndarray:
+    """``probs.probs``, once r >= 1 and its length n are checked."""
+    subset_size(r, 1)
+    if probs.n != n:
+        raise ValidationError("probability vector length does not match the dataset")
+    return probs.probs
+
+
 def _omega(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> np.ndarray:
     """The diagonal of Omega, 1 / (r pi), once r, sigma2 and pi are checked."""
-    if r < 1:
-        raise ValidationError(f"subsample size r must be at least 1, got {r}")
+    pi = _paired(probs, n, r)
     if not sigma2 > 0 or not np.isfinite(sigma2):
         raise ValidationError(f"sigma2 must be a positive real, got {sigma2}")
-    pi = probs.probs
-    if pi.shape[0] != n:
-        raise ValidationError("probability vector length does not match the dataset")
     if np.any(pi <= 0):
         raise ValidationError(
             "every sampling probability must be strictly positive here; "
@@ -125,8 +129,7 @@ def trace_amse(
     In every case the value is sigma^2 * trace(fixed covariance of the
     target's full-sample estimator) plus (sigma^2/r) * sum_i norm_i/pi_i.
     """
-    if target not in TARGETS:
-        raise ValidationError(f"target must be one of {TARGETS}, got {target!r}")
+    one_of(target, TARGETS, "target")
     omega = _omega(probs, data.n, r, sigma2)
     U, s, _ = full_rank_svd(data, "the asymptotic MSE")
     per_direction = 1.0 + np.einsum("ik,ik,i->k", U, U, omega)
@@ -153,11 +156,7 @@ def regularity_diagnostics(
 
     ``condition_ratio`` equals the squared condition number of the design.
     """
-    if r < 1:
-        raise ValidationError(f"subsample size r must be at least 1, got {r}")
-    pi = probs.probs
-    if pi.shape[0] != data.n:
-        raise ValidationError("probability vector length does not match the dataset")
+    pi = _paired(probs, data.n, r)
     s = dataset_svd(data)[1]
     # From s, not from s*s/n, which underflows long before s[0]/s[-1] does.
     ratio = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, ols_fit
+from .core import Dataset, ols_fit, one_of, subset_size
 from .errors import SubLsqError, ValidationError
 from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_quota, iboss_select
 from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities, slev_alpha
@@ -91,10 +91,7 @@ class SyntheticSpec:
     df: float | None = None
 
     def __post_init__(self):
-        if self.design_family not in DESIGN_FAMILIES:
-            raise ValidationError(
-                f"design_family must be one of {DESIGN_FAMILIES}, got {self.design_family!r}"
-            )
+        one_of(self.design_family, DESIGN_FAMILIES, "design_family")
         if self.n < 1 or self.p < 1:
             raise ValidationError("n and p must be positive")
         if len(self.beta0) != self.p:
@@ -257,21 +254,14 @@ def run_emse(
     at an r that 2p does not divide, VOL beyond the enumeration cap) raise
     before any replicate runs, instead of failing every replicate.
     """
-    methods = tuple(m.upper() for m in methods)
-    for m in methods:
-        if m not in REGISTERED_METHODS:
-            raise ValidationError(f"unknown method {m!r}; registered: {REGISTERED_METHODS}")
-    r_values = tuple(int(r) for r in r_values)
-    for r in r_values:
-        if r < data.p:
-            raise ValidationError(f"subsample size r={r} must be at least p={data.p}")
+    methods = tuple(one_of(m.upper(), REGISTERED_METHODS, "method") for m in methods)
+    r_values = tuple(subset_size(int(r), data.p) for r in r_values)
     if reps < 1:
         raise ValidationError("reps must be at least 1")
     if workers < 1:
         raise ValidationError("workers must be at least 1")
     alpha = slev_alpha(alpha)
-    if criterion not in CRITERIA:
-        raise ValidationError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    one_of(criterion, CRITERIA, "criterion")
     for method in (m for m in methods if m in _UP_FRONT_RULES):
         for r in r_values:
             try:

@@ -11,7 +11,8 @@ consumer, so an n x p ``U`` stays resident while the ``Dataset`` lives;
 design, and raises RankError otherwise. All functions are pure and
 thread-safe; returned arrays are frozen.
 
-``Dataset`` checks its arrays once, at construction. ``take_rows`` checks
+``Dataset`` copies and checks its arrays once, at construction, so no
+caller's array is frozen or shared with it. ``take_rows`` checks
 only the row indices (``row_indices``): rows of checked arrays need no
 second check, so it freezes their fancy-indexed copies, bit for bit
 ``Dataset(design[idx], response[idx])``, and they have no factors yet.
@@ -19,6 +20,7 @@ second check, so it freezes their fancy-indexed copies, bit for bit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,28 @@ def cached_on(obj, name: str, build):
     return obj.__dict__[name]
 
 
+def one_of(value, choices: tuple, what: str):
+    """``value`` if it is one of ``choices``; ValidationError naming ``what`` otherwise."""
+    if value not in choices:
+        raise ValidationError(f"{what} must be one of {choices}, got {value!r}")
+    return value
+
+
+def subset_size(r, low: int, high: float = np.inf) -> int:
+    """``r`` as an int where ``low <= r <= high`` (``high`` the rows to pick
+    from, if r may not exceed them); ValidationError otherwise."""
+    if r < low:
+        raise ValidationError(f"subset size r={r} must be at least {low}")
+    if r > high:
+        raise ValidationError(f"subset size r={r} exceeds n={high}")
+    return int(r)
+
+
+def pow2_exponent(a: np.ndarray) -> int:
+    """The exponent e that puts ``max|a| * 2^-e`` in [0.5, 1); 0 where ``a`` is all zero."""
+    return math.frexp(max(float(a.max()), -float(a.min())))[1]
+
+
 def row_indices(indices, n: float = np.inf, distinct: bool = False) -> np.ndarray:
     """A nonempty vector of integers (not floats or bools) in [0, n), distinct
     where asked, as contiguous intp; ValidationError otherwise."""
@@ -61,7 +85,8 @@ def row_indices(indices, n: float = np.inf, distinct: bool = False) -> np.ndarra
 
 
 def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
-    a = np.ascontiguousarray(values, dtype=np.float64)
+    """A C-contiguous float64 copy of ``values``, checked for ``ndim`` and finiteness."""
+    a = np.array(values, dtype=np.float64, order="C")
     if a.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -40,8 +40,9 @@ deterministic. Candidates are ranked by the logarithm of their criterion,
 so picks do not depend on the column scale while X'X stays in the normal
 floating-point range; a subset whose Gram matrix X'X (of the design as
 given) is singular or over- or underflows raises SingularSubsetError.
-The reported value can under- or overflow at extreme scales while the
-picks are right.
+Every routine reports the value that ``criterion_value`` gives for its
+subset, bit for bit; it can under- or overflow at extreme scales while
+the picks are right.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, row_indices
+from .core import Dataset, one_of, pow2_exponent, row_indices, subset_size
 from .errors import SingularSubsetError, ValidationError
 
 CRITERIA = ("A", "D", "E")
@@ -123,16 +124,16 @@ def _subset_key(gram: np.ndarray, criterion: str) -> float:
     return key
 
 
-def _criterion_from_key(key: float) -> float:
-    """The reported criterion value; it under- or overflows at extreme scales."""
+def _subset_value(data: Dataset, idx: np.ndarray, criterion: str) -> float:
+    """The reported criterion value of the rows ``idx``, taken in sorted order,
+    so every routine reports the same bits for the same subset; it under- or
+    overflows at extreme scales, and SingularSubsetError where _subset_key raises."""
+    rows = data.design[np.sort(idx)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows.T @ rows
+    key = _subset_key(gram, criterion)
     with np.errstate(over="ignore"):
         return float(np.exp(key))
-
-
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """rows'rows without numpy's warnings: where it over- or underflows, _subset_key raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return rows.T @ rows
 
 
 def _closed_form_design(data: Dataset, criterion: str) -> np.ndarray:
@@ -146,8 +147,7 @@ def _closed_form_design(data: Dataset, criterion: str) -> np.ndarray:
     """
     if criterion == "E":
         return data.design
-    _, exponent = math.frexp(float(np.max(np.abs(data.design), initial=0.0)))
-    return np.ldexp(data.design, -exponent)
+    return np.ldexp(data.design, -pow2_exponent(data.design))
 
 
 def _plus_outer(gram: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -280,10 +280,8 @@ def criterion_value(data: Dataset, indices, criterion: str) -> float:
     Raises SingularSubsetError when the subset's Gram matrix is singular
     or over- or underflows.
     """
-    if criterion not in CRITERIA:
-        raise ValidationError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    idx = _check_indices(data, indices)
-    return _criterion_from_key(_subset_key(_gram(data.design[idx]), criterion))
+    one_of(criterion, CRITERIA, "criterion")
+    return _subset_value(data, _check_indices(data, indices), criterion)
 
 
 def iboss_quota(r: int, p: int) -> int:
@@ -302,8 +300,7 @@ def iboss_select(data: Dataset, r: int) -> SubsetSelection:
     row index. Reported ``value`` is the D-criterion of the result.
     """
     n, p = data.n, data.p
-    if r > n:
-        raise ValidationError(f"r={r} exceeds n={n}")
+    subset_size(r, 1, n)
     quota = iboss_quota(r, p)
 
     selected = np.zeros(n, dtype=bool)
@@ -315,8 +312,7 @@ def iboss_select(data: Dataset, r: int) -> SubsetSelection:
             take = pool[np.argsort(vals, kind="stable")[:quota]]
             selected[take] = True
     idx = np.flatnonzero(selected)
-    value = _criterion_from_key(_subset_key(_gram(data.design[idx]), "D"))
-    return SubsetSelection(indices=idx, criterion="IBOSS", value=value)
+    return SubsetSelection(indices=idx, criterion="IBOSS", value=_subset_value(data, idx, "D"))
 
 
 def greedy_select(data: Dataset, r: int, criterion: str) -> SubsetSelection:
@@ -327,13 +323,9 @@ def greedy_select(data: Dataset, r: int, criterion: str) -> SubsetSelection:
     maximizes the determinant of the growing Gram matrix; every later pick
     minimizes the criterion of the enlarged subset.
     """
-    if criterion not in CRITERIA:
-        raise ValidationError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    one_of(criterion, CRITERIA, "criterion")
     n, p = data.n, data.p
-    if r < p:
-        raise ValidationError(f"r={r} must be at least p={p}")
-    if r > n:
-        raise ValidationError(f"r={r} exceeds n={n}")
+    subset_size(r, p, n)
 
     X = _closed_form_design(data, criterion)
     chosen: list[int] = []
@@ -359,11 +351,8 @@ def greedy_select(data: Dataset, r: int, criterion: str) -> SubsetSelection:
         available[best] = False
         gram = _plus_outer(gram, X[best])
 
-    gram = np.zeros((p, p))
-    for x in data.design[chosen]:
-        gram = _plus_outer(gram, x)
-    value = _criterion_from_key(_subset_key(gram, criterion))
-    return SubsetSelection(indices=np.array(chosen), criterion=criterion, value=value)
+    idx = np.array(chosen)
+    return SubsetSelection(indices=idx, criterion=criterion, value=_subset_value(data, idx, criterion))
 
 
 def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelection:
@@ -376,14 +365,9 @@ def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelecti
     the input, up to rounding where the subset Gram matrix is nearly
     singular.
     """
-    if selection.criterion not in CRITERIA:
-        raise ValidationError(
-            f"exchange needs an A/D/E selection, got criterion {selection.criterion!r}"
-        )
+    criterion = one_of(selection.criterion, CRITERIA, "the criterion of an exchanged selection")
     idx = _check_indices(data, selection.indices)
-    criterion = selection.criterion
-    gram = _gram(data.design[idx])
-    _subset_key(gram, criterion)
+    _subset_value(data, idx, criterion)
     X = _closed_form_design(data, criterion)
     inside = np.zeros(data.n, dtype=bool)
     inside[idx] = True
@@ -402,12 +386,6 @@ def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelecti
         accepted = best
         out_i, in_i = members[out_k], others[in_k]
         inside[out_i], inside[in_i] = False, True
-        u, x = data.design[out_i], data.design[in_i]
-        with np.errstate(over="ignore", invalid="ignore"):  # _subset_key raises on these
-            gram = gram - np.outer(u, u) + np.outer(x, x)
 
-    return SubsetSelection(
-        indices=np.flatnonzero(inside),
-        criterion=criterion,
-        value=_criterion_from_key(_subset_key(gram, criterion)),
-    )
+    idx = np.flatnonzero(inside)
+    return SubsetSelection(indices=idx, criterion=criterion, value=_subset_value(data, idx, criterion))

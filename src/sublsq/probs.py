@@ -26,12 +26,11 @@ probabilities keep their bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, full_rank_leverage, full_rank_svd, reject_zero_rows
+from .core import Dataset, full_rank_leverage, full_rank_svd, one_of, pow2_exponent, reject_zero_rows
 from .errors import DegenerateDistributionError, ValidationError
 
 SCHEMES = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")
@@ -46,7 +45,8 @@ _ROW_BLOCK = 4096  # rows per block of the IC and PL row norms
 class ProbabilityVector:
     """A vector on the probability simplex tagged with its scheme.
 
-    ``alpha`` is set only for SLEV.
+    ``alpha`` is set only for SLEV. ``probs`` is a frozen copy of the
+    vector given.
     """
 
     probs: np.ndarray
@@ -54,7 +54,7 @@ class ProbabilityVector:
     alpha: float | None = None
 
     def __post_init__(self):
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64, order="C")
         if probs.ndim != 1:
             raise ValidationError("probs must be a vector")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
@@ -108,9 +108,7 @@ def compute_probabilities(
     are rejected for the leverage-based schemes rather than smoothed;
     choose SLEV when a lower bound on the probabilities is needed.
     """
-    scheme = scheme.upper()
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    scheme = one_of(scheme.upper(), SCHEMES, "scheme")
     if scheme != "SLEV" and alpha is not None:
         raise ValidationError("alpha is only meaningful for SLEV")
     if scheme == "SLEV":
@@ -122,9 +120,8 @@ def compute_probabilities(
         return ProbabilityVector(np.full(n, 1.0 / n), "RAND")
 
     if scheme == "PL":
-        X = data.design
-        _, exponent = math.frexp(max(float(X.max()), -float(X.min())))
-        norms = _row_norms(X, lambda block: np.ldexp(block, -exponent))
+        exponent = pow2_exponent(data.design)
+        norms = _row_norms(data.design, lambda block: np.ldexp(block, -exponent))
         return ProbabilityVector(_normalized(norms, "row-norm"), "PL")
 
     if scheme == "IC":

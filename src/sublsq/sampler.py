@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EstimateResult, cached_on, ols_fit, row_indices, weighted_ls_fit
+from .core import Dataset, EstimateResult, cached_on, ols_fit, one_of, row_indices, subset_size, weighted_ls_fit
 from .errors import ValidationError
 from .probs import ProbabilityVector
 from .rng import SeedLike, derive_rng
@@ -47,8 +47,8 @@ class SubsampleDraw:
     seed: SeedLike
 
     def __post_init__(self):
-        idx = row_indices(self.indices)
-        dp = np.ascontiguousarray(self.draw_probs, dtype=np.float64)
+        idx = row_indices(np.array(self.indices))
+        dp = np.array(self.draw_probs, dtype=np.float64, order="C")
         if idx.shape != dp.shape:
             raise ValidationError("indices and draw_probs must be matching vectors")
         _set_draw_arrays(self, idx, dp)
@@ -132,8 +132,7 @@ def draw(probs: ProbabilityVector, r: int, seed: SeedLike) -> SubsampleDraw:
 
     Identical (probs, r, seed) triples yield bit-identical draws.
     """
-    if r < 1:
-        raise ValidationError(f"subsample size must be at least 1, got {r}")
+    subset_size(r, 1)
     accept, alias = probs.__dict__.get("_alias_table") or alias_table(probs.probs)
     rng = derive_rng(seed)
     cells = rng.integers(0, probs.n, size=r)
@@ -153,8 +152,7 @@ def subsample_estimate(data: Dataset, draw: SubsampleDraw, mode: str) -> Estimat
     subsample design falls back to the minimum-norm solution, flagged by
     ``rank < p`` on the result.
     """
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    one_of(mode, MODES, "mode")
     sub = data.take_rows(draw.indices)
     if mode == "plain":
         return ols_fit(sub)

@@ -1,14 +1,21 @@
-"""Determinant-proportional (volume) subset sampling, exact at desk scale.
+"""Determinant-proportional (volume) subset sampling.
 
 Two variants:
 
 * standard - a distribution over size-r subsets S of the rows with
   ``Pr(S) = det(X_S' X_S) / (C(n-p, r-p) det(X'X))``. Sampled by
   enumerating every subset, so n is capped at 20.
-* leveraged - a distribution over ordered index sequences tau of length r
-  with ``Pr(tau) proportional to det(sum_i x_i x_i'/q_i) prod_i q_i`` where
-  ``q_i`` is leverage/p. Enumerated when ``n^r`` is small enough, otherwise
-  drawn exactly by rejection sampling from the i.i.d. proposal q.
+* leveraged (Derezinski, Warmuth and Hsu, 2018) - a distribution over
+  ordered index sequences tau of length r with ``Pr(tau) proportional to
+  det(sum_i x_i x_i'/q_i) prod_i q_i`` where ``q_i`` is leverage/p. Drawn
+  exactly, at any n, by one rejection sampler from the i.i.d. proposal q.
+  Over the thin SVD X = U S V' the determinant is ``det(S)^2`` times that
+  of the whitened rows ``u_i / sqrt(q_i)``, each of squared norm exactly p,
+  so by AM-GM it is at most ``r^p det(X'X)``. That bound is the exact
+  maximum, reached where the whitened information matrix is r times the
+  identity; it reads the dataset's one factorization, is invariant under
+  any rescaling of the columns, and by Cauchy-Binet a proposal is accepted
+  with probability exactly ``prod_{j<p} (1 - j/r)`` on every design.
 
 Both samplers are seeded and reproducible, and agree with the enumerated
 distributions (that is the test surface).
@@ -23,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Dataset, full_rank_leverage, full_rank_svd
+from .core import Dataset, dataset_svd, full_rank_leverage, full_rank_svd, one_of, subset_size
 from .errors import (
     CapacityError,
     DegenerateDistributionError,
@@ -39,6 +46,7 @@ __all__ = [
     "volume_sample",
 ]
 
+VARIANTS = ("standard", "leveraged")
 ENUMERATION_MAX_N = 20
 LEVERAGED_ENUMERATION_LIMIT = 2_000_000
 _DET_CHUNK = 65_536
@@ -58,8 +66,8 @@ class SubsetDistribution:
     masses: np.ndarray
 
     def __post_init__(self):
-        subsets = np.ascontiguousarray(self.subsets, dtype=np.intp)
-        masses = np.ascontiguousarray(self.masses, dtype=np.float64)
+        subsets = np.array(self.subsets, dtype=np.intp, order="C")
+        masses = np.array(self.masses, dtype=np.float64, order="C")
         if subsets.ndim != 2 or masses.ndim != 1 or subsets.shape[0] != masses.shape[0]:
             raise ValidationError("subsets and masses must have matching leading length")
         if np.any(masses < 0):
@@ -126,10 +134,7 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     """
     n, p = data.n, data.p
     check_enumerable(n)
-    if r < p:
-        raise ValidationError(f"subset size r={r} must be at least p={p}")
-    if r > n:
-        raise ValidationError(f"subset size r={r} exceeds n={n}")
+    subset_size(r, p, n)
     full_rank_svd(data, "standard volume sampling")
 
     subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
@@ -150,8 +155,7 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     relative to the largest weight. Bounded by ``n^r`` enumerated states.
     """
     n, p = data.n, data.p
-    if r < p:
-        raise ValidationError(f"sequence length r={r} must be at least p={p}")
+    subset_size(r, p)
     if n**r > LEVERAGED_ENUMERATION_LIMIT:
         raise CapacityError(
             f"sequence enumeration needs n^r <= {LEVERAGED_ENUMERATION_LIMIT}"
@@ -178,10 +182,6 @@ def _inverse_cdf(weights: np.ndarray):
     return lambda u: np.searchsorted(cum, u, side="right")
 
 
-def _sample_rows(dist: SubsetDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    return dist.subsets[_inverse_cdf(dist.masses)(rng.random(size))]
-
-
 def _warn_if_small_r(r: int, p: int) -> None:
     if r <= 4 * p * p:
         warnings.warn(
@@ -192,23 +192,33 @@ def _warn_if_small_r(r: int, p: int) -> None:
         )
 
 
+def _leveraged_log_ratios(data: Dataset, inv_q: np.ndarray, proposals: np.ndarray) -> np.ndarray:
+    """log of each proposal's acceptance probability: ``det(sum_k x_k x_k'/q_k)``
+    over its exact bound ``r^p det(X'X)``, that is the log det minus
+    ``log_bound = p log r + 2 sum log s``, with r = ``proposals.shape[1]``.
+
+    Over X = U S V' that log det is ``2 sum log s`` plus the log det over
+    the rows of U, so the ratio is taken there: ``2 sum log s`` cancels
+    exactly, and the whitened information matrix is as well conditioned as
+    the proposal allows, at any column scale. At most 0 up to rounding;
+    -inf where the determinant vanishes.
+    """
+    U = dataset_svd(data)[0]
+    return _gram_logdets(U, proposals, inv_q) - data.p * math.log(proposals.shape[1])
+
+
 def _leveraged_rejection(
     data: Dataset, r: int, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Exact leveraged-volume draws via rejection from the i.i.d. proposal.
+    """Exact leveraged-volume draws via rejection from the i.i.d. proposal q.
 
-    The acceptance ratio is det(information matrix of tau) over the AM-GM
-    bound ``(r * max_i ||x_i||^2 / q_i / p)^p``, which dominates every
-    determinant, so accepted sequences follow the target exactly. The test
-    runs in log space, so neither the bound nor a determinant over- or
-    underflows at extreme row scales. The bound needs to cover only rows
-    that can be proposed, those with ``q > 0``.
+    A proposal is accepted with probability ``_leveraged_log_ratios``
+    exponentiated, so accepted sequences follow the target exactly; the
+    bound is the determinant's maximum, and the acceptance rate is
+    ``prod_{j<p} (1 - j/r)`` on every design. Only rows with ``q > 0``
+    are proposed.
     """
     q, inv_q = _leveraged_proposal(data)
-    row_sq = np.einsum("ij,ij->i", data.design, data.design)
-    ratio = np.divide(row_sq, q, out=np.zeros_like(q), where=q > 0)
-    log_bound = data.p * math.log(r * float(np.max(ratio)) / data.p)
-
     propose = _inverse_cdf(q)
     collected: list[np.ndarray] = []
     used = 0
@@ -216,14 +226,14 @@ def _leveraged_rejection(
     while got < size:
         batch = min(_REJECTION_BATCH, _REJECTION_PROPOSAL_BUDGET - used)
         if batch <= 0:
+            rate = math.prod(1.0 - j / r for j in range(data.p))
             raise SamplingError(
                 f"rejection sampler accepted {got}/{size} draws within "
-                f"{_REJECTION_PROPOSAL_BUDGET} proposals; the determinant bound "
-                "is too loose for this design"
+                f"{_REJECTION_PROPOSAL_BUDGET} proposals; at r={r}, p={data.p} a "
+                f"proposal is accepted with probability {rate:.3g}"
             )
         proposals = propose(rng.random((batch, r))).astype(np.intp)
-        sign, logdet = np.linalg.slogdet(_information(data.design, proposals, inv_q))
-        keep = (sign > 0) & (np.log(rng.random(batch)) <= logdet - log_bound)
+        keep = rng.random(batch) < np.exp(_leveraged_log_ratios(data, inv_q, proposals))
         used += batch
         if np.any(keep):
             accepted = proposals[keep]
@@ -232,24 +242,16 @@ def _leveraged_rejection(
     return np.concatenate(collected, axis=0)[:size]
 
 
-def volume_sample(
-    data: Dataset,
-    r: int,
-    variant: str,
-    seed: SeedLike,
-    size: int | None = None,
-    enumeration_limit: int = LEVERAGED_ENUMERATION_LIMIT,
-):
+def volume_sample(data: Dataset, r: int, variant: str, seed: SeedLike, size: int | None = None):
     """Draw from one of the two volume-sampling distributions.
 
-    ``standard`` returns a sorted array of r distinct row indices;
-    ``leveraged`` returns an ordered length-r sequence that may repeat
-    indices. Pass ``size`` to get a (size, r) array of independent draws
-    from one seeded stream. ``enumeration_limit`` controls when the
-    leveraged variant switches from enumeration to rejection sampling.
+    ``standard`` returns a sorted array of r distinct row indices, drawn
+    from the enumerated distribution; ``leveraged`` returns an ordered
+    length-r sequence that may repeat indices, drawn by rejection. Pass
+    ``size`` to get a (size, r) array of independent draws from one
+    seeded stream.
     """
-    if variant not in ("standard", "leveraged"):
-        raise ValidationError(f"variant must be 'standard' or 'leveraged', got {variant!r}")
+    one_of(variant, VARIANTS, "variant")
     rng = derive_rng(seed)
     one = size is None
     count = 1 if one else int(size)
@@ -258,14 +260,9 @@ def volume_sample(
 
     if variant == "standard":
         dist = standard_volume_distribution(data, r)
-        rows = _sample_rows(dist, rng, count)
+        rows = dist.subsets[_inverse_cdf(dist.masses)(rng.random(count))]
     else:
-        if r < data.p:
-            raise ValidationError(f"sequence length r={r} must be at least p={data.p}")
+        subset_size(r, data.p)
         _warn_if_small_r(r, data.p)
-        if data.n**r <= enumeration_limit:
-            dist = leveraged_volume_distribution(data, r)
-            rows = _sample_rows(dist, rng, count)
-        else:
-            rows = _leveraged_rejection(data, r, rng, count)
+        rows = _leveraged_rejection(data, r, rng, count)
     return rows[0] if one else rows

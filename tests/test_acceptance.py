@@ -175,8 +175,8 @@ def test_criterion_6_volume_sampling_exactness():
         draws6 = volume_sample(d6, 3, "standard", 1007, size=100_000)
         assert _tv(draws6, exact6) <= 0.02
 
-        # sampler vs enumeration, leveraged variant (enumeration path and
-        # the forced rejection path must both land on the same masses)
+        # sampler vs enumeration, leveraged variant: the rejection sampler
+        # must land on the enumerated masses, for p = 1 and p = 2
         ldist = leveraged_volume_distribution(col, 2)
         lexact = {tuple(s): m for s, m in zip(ldist.subsets, ldist.masses)}
         with pytest.warns(UserWarning):
@@ -187,9 +187,7 @@ def test_criterion_6_volume_sampling_exactness():
         ldist2 = leveraged_volume_distribution(d32, 2)
         lexact2 = {tuple(s): m for s, m in zip(ldist2.subsets, ldist2.masses)}
         with pytest.warns(UserWarning):
-            rdraws = volume_sample(
-                d32, 2, "leveraged", 1009, size=100_000, enumeration_limit=1
-            )
+            rdraws = volume_sample(d32, 2, "leveraged", 1009, size=100_000)
         assert _tv(rdraws, lexact2) <= 0.02
 
 

@@ -23,7 +23,8 @@ from sublsq import (
 )
 from sublsq.asymptotics import TARGETS, regularity_diagnostics, sigma2_estimate
 from sublsq.optdesign import SubsetSelection, criterion_value
-from sublsq.sampler import SubsampleDraw
+from sublsq.probs import ProbabilityVector
+from sublsq.sampler import SubsampleDraw, alias_table_of
 from sublsq.bench import SyntheticSpec, generate_synthetic
 
 from conftest import gaussian_dataset
@@ -292,7 +293,7 @@ FULL_RANK_CONSUMERS = {
     "avar_matrix": lambda d: avar_matrix(d, _uniform(d), 4, 1.0),
     "standard_volume_distribution": lambda d: standard_volume_distribution(d, 2),
     "leveraged_volume_distribution": lambda d: leveraged_volume_distribution(d, 2),
-    "volume_sample_rejection": lambda d: volume_sample(d, 2, "leveraged", 0, enumeration_limit=1),
+    "volume_sample_rejection": lambda d: volume_sample(d, 2, "leveraged", 0),
 }
 for _s in ("BLEV", "SLEV", "IC", "RL"):
     FULL_RANK_CONSUMERS[f"probs_{_s}"] = lambda d, s=_s: compute_probabilities(d, s)
@@ -438,3 +439,23 @@ def test_threads_racing_on_one_dataset_read_equal_factors():
         for a, b in zip(arrays, want[name]):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
     assert core.dataset_svd(data) is core.dataset_svd(data)
+
+
+def test_value_types_own_their_arrays():
+    # Dataset and ProbabilityVector once froze the caller's own C-contiguous
+    # float64 array; a caller that made it writable again and edited it left
+    # stale stored factors and a stale alias table behind
+    rng = np.random.default_rng(14)
+    X, y = rng.standard_normal((30, 3)), rng.standard_normal(30)
+    probs = np.full(30, 1.0 / 30)
+    data = Dataset(design=X, response=y)
+    pv = ProbabilityVector(probs, "RAND")
+    beta, picked = ols_fit(data).beta, draw(pv, 8, 5).indices
+    alias_table_of(pv)
+    assert X.flags.writeable and y.flags.writeable and probs.flags.writeable
+    X *= 2.0
+    y[:] = 0.0
+    probs[:] = 0.0
+    probs[0] = 1.0
+    assert np.array_equal(ols_fit(data).beta, beta)
+    assert np.array_equal(draw(pv, 8, 5).indices, picked)

@@ -19,6 +19,7 @@ from sublsq import (
 from sublsq.cli import main
 from sublsq import optdesign
 from sublsq.optdesign import (
+    CRITERIA,
     _batched_criterion,
     _best_swap,
     _grown_keys,
@@ -494,3 +495,16 @@ def test_iboss_picks_are_invariant_under_any_column_scale(p, quota, exponent, se
     X = np.random.default_rng(seed).standard_normal((r + p + 8, p))
     picks = iboss_select(_design(X), r).indices
     assert np.array_equal(iboss_select(_design(10.0**exponent * X), r).indices, picks)
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_every_selection_reports_criterion_value_bit_for_bit(criterion):
+    # greedy once summed its Gram matrix in pick order and exchange kept one
+    # updated round by round, both off by up to a few ulps
+    for seed in range(5):
+        data = _design(np.random.default_rng(seed).standard_t(4, (300, 3)))
+        greedy = greedy_select(data, 12, criterion)
+        for sel in (greedy, exchange_improve(data, greedy)):
+            assert sel.value == criterion_value(data, sel.indices, criterion), seed
+        iboss = iboss_select(data, 12)
+        assert iboss.value == criterion_value(data, iboss.indices, "D"), seed

@@ -11,11 +11,13 @@ from sublsq import (
     CapacityError,
     Dataset,
     NumericalError,
+    SamplingError,
     ValidationError,
     leveraged_volume_distribution,
     standard_volume_distribution,
     volume_sample,
 )
+from sublsq import volume
 from sublsq.volume import LEVERAGED_ENUMERATION_LIMIT, _inverse_cdf
 
 
@@ -121,13 +123,13 @@ def test_leveraged_sampler_tv_against_enumeration():
 
 
 def test_leveraged_rejection_path_tv():
-    # force the rejection sampler at desk scale and compare to enumeration
+    # the rejection sampler at desk scale, against enumeration
     rng = np.random.default_rng(6)
     X = rng.standard_normal((3, 2))
     d = Dataset(design=X, response=np.zeros(3))
     oracle = _leveraged_oracle(X, 2)
     with pytest.warns(UserWarning):
-        draws = volume_sample(d, 2, "leveraged", 29, size=100_000, enumeration_limit=1)
+        draws = volume_sample(d, 2, "leveraged", 29, size=100_000)
     assert _tv(draws, oracle) <= 0.02
 
 
@@ -161,8 +163,12 @@ def test_leveraged_rejection_with_underflowed_leverage_is_quick_and_quiet(row_sc
     assert not np.any(draws == 7)  # zero proposal mass, never proposed
 
 
-@pytest.mark.parametrize("row_scale", [1.0, 1e-156, 1e-180])
-def test_leveraged_rejection_matches_enumerated_masses(row_scale):
+@pytest.mark.parametrize(
+    "row_scale, col_scale",
+    [(1.0, 1.0), (1e-156, 1.0), (1e-180, 1.0), (1.0, 1e4)],
+    ids=["1.0", "1e-156", "1e-180", "columns-1e4"],
+)
+def test_leveraged_rejection_matches_enumerated_masses(row_scale, col_scale):
     # n^r = 125 sequences, few enough to enumerate. Bound stated up front:
     # total variation <= 0.03 over 100,000 draws, against an expected
     # sampling TV of about 0.5 * sqrt(2 / (pi * N)) * sum(sqrt(mass)) <= 0.012.
@@ -170,18 +176,83 @@ def test_leveraged_rejection_matches_enumerated_masses(row_scale):
     assert n**r <= LEVERAGED_ENUMERATION_LIMIT
     X = np.random.default_rng(31).standard_normal((n, 2))
     X[2] *= row_scale
+    X[:, 1] *= col_scale
     d = Dataset(design=X, response=np.zeros(n))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         dist = leveraged_volume_distribution(d, r)
         with pytest.warns(UserWarning, match="r > 4 p"):
-            draws = volume_sample(d, r, "leveraged", 37, size=100_000, enumeration_limit=0)
+            draws = volume_sample(d, r, "leveraged", 37, size=100_000)
     exact = {tuple(s): m for s, m in zip(dist.subsets, dist.masses)}
     if row_scale != 1.0:
         # row 2's leverage underflows: it has no mass and is never drawn
         assert all(m == 0.0 for s, m in exact.items() if 2 in s)
         assert not np.any(draws == 2)
     assert _tv(draws, exact) <= 0.03
+
+
+def _bound_designs():
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(300)
+    tiny = rng.standard_normal((200, 2))
+    tiny[7] *= 1e-156
+    return {
+        "gaussian": (rng.standard_normal((500, 3)), 40),
+        "column_scaled": (rng.standard_t(5, (2000, 5)) * [1, 10, 100, 1e3, 1e4], 50),
+        "nearly_collinear": (
+            np.column_stack([x, x + 1e-3 * rng.standard_normal(300), rng.standard_normal(300)]),
+            30,
+        ),
+        "tiny_row": (tiny, 20),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bound_designs()))
+def test_leveraged_rejection_bound_is_the_exact_maximum(name):
+    # Bounds stated up front. (1) Every proposal's log det, computed directly
+    # on the rows of X, is at most log_bound = p log r + 2 sum log s plus
+    # 1e-8 of rounding (the nearly collinear X has cond 2e3, so its raw
+    # information matrices lose about cond^2 eps), and the sampler's own log
+    # ratio, taken on the whitened rows, is at most 1e-12. (2) The mean acceptance
+    # probability over 20,000 proposals is within 0.02 of prod_{j<p} (1 - j/r)
+    # (its standard error is at most 0.5 / sqrt(20,000) = 0.0036).
+    X, r = _bound_designs()[name]
+    n, p = X.shape
+    data = Dataset(design=X, response=np.zeros(n))
+    q, inv_q = volume._leveraged_proposal(data)
+    proposals = _inverse_cdf(q)(np.random.default_rng(43).random((20_000, r)))
+    log_ratios = volume._leveraged_log_ratios(data, inv_q, proposals)
+    rows = X[proposals]
+    _, logdet = np.linalg.slogdet(np.einsum("mri,mrj,mr->mij", rows, rows, inv_q[proposals]))
+    log_bound = p * np.log(r) + 2 * np.sum(np.log(np.linalg.svd(X, compute_uv=False)))
+    assert np.max(logdet - log_bound) <= 1e-8
+    assert np.max(log_ratios) <= 1e-12
+    expected = np.prod([1 - j / r for j in range(p)])
+    assert abs(float(np.mean(np.exp(log_ratios))) - expected) <= 0.02
+
+
+def test_column_scaled_leveraged_draw_is_quick_and_quiet():
+    # columns 1e4 apart once drove the acceptance rate to about 0, and the
+    # draw raised SamplingError after 5,000,000 proposals (about 40 s)
+    X = np.random.default_rng(0).standard_normal((500, 3)) * [1, 1e2, 1e4]
+    d = Dataset(design=X, response=np.zeros(500))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        t0 = time.perf_counter()
+        draws = volume_sample(d, 40, "leveraged", 1, size=5)
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    assert draws.shape == (5, 40)
+
+
+def test_exhausted_budget_states_the_acceptance_rate(monkeypatch):
+    # at r = p = 10 a proposal is accepted with probability 10! / 10^10
+    monkeypatch.setattr(volume, "_REJECTION_PROPOSAL_BUDGET", 8_192)
+    X = np.random.default_rng(2).standard_normal((60, 10))
+    d = Dataset(design=X, response=np.zeros(60))
+    with pytest.raises(SamplingError, match=r"at r=10, p=10 a proposal is accepted with probability 0\.000363"):
+        with pytest.warns(UserWarning):
+            volume_sample(d, 10, "leveraged", 0, size=100)
 
 
 def test_inverse_cdf_never_returns_a_trailing_zero_weight():
