@@ -81,17 +81,18 @@ class RegularityDiagnostics:
     condition_ratio: float
 
 
-def _paired(probs: ProbabilityVector, n: int, r: int) -> np.ndarray:
-    """``probs.probs``, once r >= 1 and its length n are checked."""
-    subset_size(r, 1)
+def _paired(probs: ProbabilityVector, n: int, r: int) -> tuple[np.ndarray, int]:
+    """``probs.probs`` and r as an int, once r >= 1 and the length n are checked."""
+    r = subset_size(r, 1)
     if probs.n != n:
         raise ValidationError("probability vector length does not match the dataset")
-    return probs.probs
+    return probs.probs, r
 
 
-def _omega(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> np.ndarray:
-    """The diagonal of Omega, 1 / (r pi), once r, sigma2 and pi are checked."""
-    pi = _paired(probs, n, r)
+def _omega(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> tuple[np.ndarray, int]:
+    """The diagonal of Omega, 1 / (r pi), and r as an int, once r, sigma2
+    and pi are checked."""
+    pi, r = _paired(probs, n, r)
     if not sigma2 > 0 or not np.isfinite(sigma2):
         raise ValidationError(f"sigma2 must be a positive real, got {sigma2}")
     if np.any(pi <= 0):
@@ -99,14 +100,14 @@ def _omega(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> np.ndarra
             "every sampling probability must be strictly positive here; "
             "zero-probability rows make the weight matrix undefined"
         )
-    return 1.0 / (r * pi)
+    return 1.0 / (r * pi), r
 
 
 def avar_matrix(
     data: Dataset, probs: ProbabilityVector, r: int, sigma2: float
 ) -> AsymptoticVariance:
     """Asymptotic covariance of the weighted subsample estimator."""
-    omega = _omega(probs, data.n, r, sigma2)
+    omega, r = _omega(probs, data.n, r, sigma2)
     U, s, Vt = full_rank_svd(data, "the asymptotic variance")
     A = Vt.T / s
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
@@ -114,7 +115,7 @@ def avar_matrix(
         m = 0.5 * (m + m.T)
     if not np.isfinite(m).all():
         raise NumericalError("the asymptotic variance over- or underflows at this column scale")
-    return AsymptoticVariance(matrix=m, sigma2=float(sigma2), r=int(r))
+    return AsymptoticVariance(matrix=m, sigma2=float(sigma2), r=r)
 
 
 def trace_amse(
@@ -130,7 +131,7 @@ def trace_amse(
     target's full-sample estimator) plus (sigma^2/r) * sum_i norm_i/pi_i.
     """
     one_of(target, TARGETS, "target")
-    omega = _omega(probs, data.n, r, sigma2)
+    omega, _ = _omega(probs, data.n, r, sigma2)
     U, s, _ = full_rank_svd(data, "the asymptotic MSE")
     per_direction = 1.0 + np.einsum("ik,ik,i->k", U, U, omega)
     with np.errstate(over="ignore"):  # checked right below
@@ -156,7 +157,7 @@ def regularity_diagnostics(
 
     ``condition_ratio`` equals the squared condition number of the design.
     """
-    pi = _paired(probs, data.n, r)
+    pi, _ = _paired(probs, data.n, r)
     s = dataset_svd(data)[1]
     # From s, not from s*s/n, which underflows long before s[0]/s[-1] does.
     ratio = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf

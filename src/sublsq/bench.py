@@ -255,7 +255,7 @@ def run_emse(
     before any replicate runs, instead of failing every replicate.
     """
     methods = tuple(one_of(m.upper(), REGISTERED_METHODS, "method") for m in methods)
-    r_values = tuple(subset_size(int(r), data.p) for r in r_values)
+    r_values = tuple(subset_size(r, data.p) for r in r_values)
     if reps < 1:
         raise ValidationError("reps must be at least 1")
     if workers < 1:

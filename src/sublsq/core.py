@@ -56,8 +56,11 @@ def one_of(value, choices: tuple, what: str):
 
 
 def subset_size(r, low: int, high: float = np.inf) -> int:
-    """``r`` as an int where ``low <= r <= high`` (``high`` the rows to pick
-    from, if r may not exceed them); ValidationError otherwise."""
+    """``r`` as an int where it is an integer (not a float or a bool) and
+    ``low <= r <= high`` (``high`` the rows to pick from, if r may not
+    exceed them); ValidationError otherwise."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValidationError(f"subset size r must be an integer, got {r!r}")
     if r < low:
         raise ValidationError(f"subset size r={r} must be at least {low}")
     if r > high:

@@ -300,7 +300,7 @@ def iboss_select(data: Dataset, r: int) -> SubsetSelection:
     row index. Reported ``value`` is the D-criterion of the result.
     """
     n, p = data.n, data.p
-    subset_size(r, 1, n)
+    r = subset_size(r, 1, n)
     quota = iboss_quota(r, p)
 
     selected = np.zeros(n, dtype=bool)
@@ -325,7 +325,7 @@ def greedy_select(data: Dataset, r: int, criterion: str) -> SubsetSelection:
     """
     one_of(criterion, CRITERIA, "criterion")
     n, p = data.n, data.p
-    subset_size(r, p, n)
+    r = subset_size(r, p, n)
 
     X = _closed_form_design(data, criterion)
     chosen: list[int] = []

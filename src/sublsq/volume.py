@@ -134,7 +134,7 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     """
     n, p = data.n, data.p
     check_enumerable(n)
-    subset_size(r, p, n)
+    r = subset_size(r, p, n)
     full_rank_svd(data, "standard volume sampling")
 
     subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
@@ -155,7 +155,7 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     relative to the largest weight. Bounded by ``n^r`` enumerated states.
     """
     n, p = data.n, data.p
-    subset_size(r, p)
+    r = subset_size(r, p)
     if n**r > LEVERAGED_ENUMERATION_LIMIT:
         raise CapacityError(
             f"sequence enumeration needs n^r <= {LEVERAGED_ENUMERATION_LIMIT}"
@@ -262,7 +262,7 @@ def volume_sample(data: Dataset, r: int, variant: str, seed: SeedLike, size: int
         dist = standard_volume_distribution(data, r)
         rows = dist.subsets[_inverse_cdf(dist.masses)(rng.random(count))]
     else:
-        subset_size(r, data.p)
+        r = subset_size(r, data.p)
         _warn_if_small_r(r, data.p)
         rows = _leveraged_rejection(data, r, rng, count)
     return rows[0] if one else rows

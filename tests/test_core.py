@@ -13,9 +13,12 @@ from sublsq import (
     compute_probabilities,
     core,
     draw,
+    greedy_select,
+    iboss_select,
     leverage_scores,
     leveraged_volume_distribution,
     ols_fit,
+    run_emse,
     standard_volume_distribution,
     trace_amse,
     volume_sample,
@@ -338,6 +341,40 @@ def test_take_rows_rejects_bad_indices(indices):
     data = gaussian_dataset(4, 3, 2)
     with pytest.raises(ValidationError, match="row indices"):
         data.take_rows(indices)
+
+
+SUBSET_SIZE_CALLERS = {
+    "draw": lambda d, pv, r: draw(pv, r, 0),
+    "volume_standard": lambda d, pv, r: volume_sample(d, r, "standard", 0),
+    "volume_leveraged": lambda d, pv, r: volume_sample(d, r, "leveraged", 0),
+    "avar_matrix": lambda d, pv, r: avar_matrix(d, pv, r, 1.0),
+    "trace_amse": lambda d, pv, r: trace_amse(d, pv, r, 1.0, "beta"),
+    "regularity_diagnostics": lambda d, pv, r: regularity_diagnostics(d, pv, r),
+    "iboss_select": lambda d, pv, r: iboss_select(d, r),
+    "greedy_select": lambda d, pv, r: greedy_select(d, r, "D"),
+    "run_emse": lambda d, pv, r: run_emse(d, ["RAND"], [r], reps=1, seed=0),
+}
+
+
+@pytest.mark.parametrize("r", [5.5, True, np.float64(4.0), "4", None], ids=repr)
+@pytest.mark.parametrize("caller", sorted(SUBSET_SIZE_CALLERS))
+def test_subset_size_must_be_an_integer(caller, r):
+    # a non-integer r once gave a silent wrong answer (avar_matrix built
+    # Omega from 5.5 and reported r = 5), a selection, or a TypeError
+    d = gaussian_dataset(8, 12, 2)
+    pv = compute_probabilities(d, "BLEV")
+    with pytest.raises(ValidationError, match="subset size r must be an integer"):
+        SUBSET_SIZE_CALLERS[caller](d, pv, r)
+
+
+@pytest.mark.parametrize("r", [4, np.int64(4), np.uint8(4)], ids=repr)
+def test_subset_size_takes_python_and_numpy_integers(r):
+    d = gaussian_dataset(8, 12, 2)
+    pv = compute_probabilities(d, "BLEV")
+    assert core.subset_size(r, 1) == 4 and type(core.subset_size(r, 1)) is int
+    assert avar_matrix(d, pv, r, 1.0).r == 4
+    assert draw(pv, r, 0).r == 4
+    assert iboss_select(d, r).indices.size == 4
 
 
 def _counting_thin_svd(monkeypatch):

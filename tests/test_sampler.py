@@ -14,7 +14,13 @@ from sublsq import (
     ols_fit,
     subsample_estimate,
 )
-from sublsq.sampler import SubsampleDraw, alias_table
+from sublsq.sampler import (
+    CELL_LOOKUP_MIN_ROWS,
+    CELL_LOOKUP_MIN_ROWS_PER_DRAW,
+    SubsampleDraw,
+    _alias_cells,
+    alias_table,
+)
 
 from conftest import gaussian_dataset
 
@@ -129,6 +135,15 @@ def _assert_same_table(p):
     ref_accept, ref_alias = _two_search_alias_table(p)
     assert np.array_equal(accept, ref_accept)
     assert np.array_equal(alias, ref_alias)
+    _assert_cells_match_the_table(p)
+
+
+def _assert_cells_match_the_table(p):
+    # the per-cell lookup at every cell, and at a draw-like sample with repeats
+    accept, alias = alias_table(p)
+    for cells in (np.arange(p.size), np.random.default_rng(p.size).integers(0, p.size, size=3 * p.size)):
+        got_accept, got_alias = _alias_cells(p, cells)
+        assert np.array_equal(got_accept, accept[cells]) and np.array_equal(got_alias, alias[cells])
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 500_000])
@@ -166,6 +181,70 @@ def test_alias_table_of_a_constant_vector_is_the_identity(mass, n):
     _assert_same_table(p)
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [0.5 - 1e-11, 0.5 - 2e-11],  # every n p_i < 1: no large cell
+        [0.5 + 1e-11, 0.5 + 2e-11],  # every n p_i >= 1: no small cell
+        [0.25 - 1e-11, 0.25 - 2e-11, 0.25 - 1e-11, 0.25 - 3e-11],
+        [0.25 + 1e-11, 0.25, 0.25 + 2e-11, 0.25],
+    ],
+)
+def test_alias_cells_without_small_or_large_cells(probs):
+    # the 1e-10 sum tolerance admits non-constant vectors on one side of 1/n
+    p = np.array(probs)
+    ProbabilityVector(p, "RAND")
+    _assert_cells_match_the_table(p)
+
+
+def _table_draw(pv, r, seed):
+    """``draw`` from a copy of ``pv`` that keeps its whole table."""
+    kept = ProbabilityVector(pv.probs, pv.scheme)
+    sampler_mod.alias_table_of(kept)
+    return draw(kept, r, seed)
+
+
+def test_alias_cells_never_draw_a_zero_probability_cell():
+    w = _weights("zeros", 100_000, np.random.default_rng(4))
+    p = w / w.sum()
+    accept, alias = _alias_cells(p, np.arange(p.size))
+    zero = p == 0
+    assert zero.sum() > 20_000
+    # a zero cell always redirects, and never to another zero cell
+    assert np.all(accept[zero] == 0) and np.all(p[alias[zero]] > 0)
+    d = draw(ProbabilityVector(p, "RAND"), 5_000, 8)
+    assert np.all(p[d.indices] > 0)
+
+
+@pytest.mark.parametrize("n", [CELL_LOOKUP_MIN_ROWS - 1, 2 * CELL_LOOKUP_MIN_ROWS])
+@pytest.mark.parametrize("kind", ["uniform", "dirichlet", "zeros"])
+def test_draw_is_the_same_on_either_side_of_the_lookup_gate(kind, n, monkeypatch):
+    w = _weights(kind, n, np.random.default_rng(6))
+    pv = ProbabilityVector(w / w.sum(), "RAND")
+    gate = n // CELL_LOOKUP_MIN_ROWS_PER_DRAW
+    built = []
+    real = sampler_mod.alias_table
+    monkeypatch.setattr(sampler_mod, "alias_table", lambda p: built.append(p.size) or real(p))
+    for r in (1, 10, gate - 1, gate, gate + 1, 5 * n):
+        before = len(built)
+        d = draw(pv, r, (9, r))
+        # a whole table only where n is small, or not large against r
+        lookup = n >= CELL_LOOKUP_MIN_ROWS and n > CELL_LOOKUP_MIN_ROWS_PER_DRAW * r
+        assert len(built) - before == (not lookup)
+        kept = _table_draw(pv, r, (9, r))
+        assert np.array_equal(d.indices, kept.indices)
+        assert np.array_equal(d.draw_probs, kept.draw_probs)
+    assert "_alias_table" not in vars(pv)
+
+
+def test_constant_vector_draws_its_cells_without_a_table(monkeypatch):
+    monkeypatch.setattr(sampler_mod, "alias_table", lambda p: pytest.fail("built a whole table"))
+    pv = ProbabilityVector(np.full(50_000, 1 / 50_000), "RAND")
+    d = draw(pv, 100, 3)
+    rng = sampler_mod.derive_rng(3)
+    assert np.array_equal(d.indices, rng.integers(0, 50_000, size=100))
+
+
 def test_draw_arrays_are_frozen_and_checked():
     d = gaussian_dataset(2, 50, 2)
     dr = draw(compute_probabilities(d, "BLEV"), 20, 3)
@@ -187,7 +266,7 @@ def tall_student_t():
     return generate_synthetic(spec, 3)
 
 
-@pytest.mark.parametrize("scheme", ["BLEV", "IC", "PL"])
+@pytest.mark.parametrize("scheme", ["BLEV", "IC", "PL", "RAND"])
 def test_alias_table_equals_the_two_search_table_on_tall_schemes(tall_student_t, scheme):
     _assert_same_table(compute_probabilities(tall_student_t, scheme).probs)
 
