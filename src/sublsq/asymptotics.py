@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, dataset_svd, full_rank_svd, ols_fit, one_of, subset_size
+from .core import _ROW_BLOCK, Dataset, dataset_svd, full_rank_svd, ols_fit, one_of, subset_size
 from .errors import NumericalError, ValidationError
 from .probs import ProbabilityVector
 
@@ -106,12 +106,17 @@ def _omega(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> tuple[np.
 def avar_matrix(
     data: Dataset, probs: ProbabilityVector, r: int, sigma2: float
 ) -> AsymptoticVariance:
-    """Asymptotic covariance of the weighted subsample estimator."""
+    """Asymptotic covariance of the weighted subsample estimator; ``U' Omega U``
+    is summed over blocks of ``_ROW_BLOCK`` rows, with no n x p temporary."""
     omega, r = _omega(probs, data.n, r, sigma2)
     U, s, Vt = full_rank_svd(data, "the asymptotic variance")
     A = Vt.T / s
+    inner = np.eye(data.p)
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        m = sigma2 * (A @ (np.eye(data.p) + U.T @ (U * omega[:, None])) @ A.T)
+        for lo in range(0, data.n, _ROW_BLOCK):
+            block = U[lo : lo + _ROW_BLOCK]
+            inner += block.T @ (block * omega[lo : lo + _ROW_BLOCK, None])
+        m = sigma2 * (A @ inner @ A.T)
         m = 0.5 * (m + m.T)
     if not np.isfinite(m).all():
         raise NumericalError("the asymptotic variance over- or underflows at this column scale")

@@ -256,10 +256,8 @@ def run_emse(
     """
     methods = tuple(one_of(m.upper(), REGISTERED_METHODS, "method") for m in methods)
     r_values = tuple(subset_size(r, data.p) for r in r_values)
-    if reps < 1:
-        raise ValidationError("reps must be at least 1")
-    if workers < 1:
-        raise ValidationError("workers must be at least 1")
+    reps = subset_size(reps, 1, what="reps")
+    workers = subset_size(workers, 1, what="workers")
     alpha = slev_alpha(alpha)
     one_of(criterion, CRITERIA, "criterion")
     for method in (m for m in methods if m in _UP_FRONT_RULES):

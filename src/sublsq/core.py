@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+_ROW_BLOCK = 4096  # rows per block of the per-row work on U or X: IC and PL norms, U' Omega U
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -55,16 +58,17 @@ def one_of(value, choices: tuple, what: str):
     return value
 
 
-def subset_size(r, low: int, high: float = np.inf) -> int:
+def subset_size(r, low: int, high: float = np.inf, what: str = "subset size r") -> int:
     """``r`` as an int where it is an integer (not a float or a bool) and
     ``low <= r <= high`` (``high`` the rows to pick from, if r may not
-    exceed them); ValidationError otherwise."""
+    exceed them); ValidationError naming ``what`` otherwise. The one rule
+    for every count: r, and a draw's ``size``, ``reps`` and ``workers``."""
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-        raise ValidationError(f"subset size r must be an integer, got {r!r}")
+        raise ValidationError(f"{what} must be an integer, got {r!r}")
     if r < low:
-        raise ValidationError(f"subset size r={r} must be at least {low}")
+        raise ValidationError(f"{what}={r} must be at least {low}")
     if r > high:
-        raise ValidationError(f"subset size r={r} exceeds n={high}")
+        raise ValidationError(f"{what}={r} exceeds n={high}")
     return int(r)
 
 

@@ -30,15 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, full_rank_leverage, full_rank_svd, one_of, pow2_exponent, reject_zero_rows
+from .core import (
+    _ROW_BLOCK, Dataset, full_rank_leverage, full_rank_svd, one_of, pow2_exponent, reject_zero_rows
+)
 from .errors import DegenerateDistributionError, ValidationError
 
 SCHEMES = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")
 DEFAULT_SLEV_ALPHA = 0.9
 
 __all__ = ["SCHEMES", "DEFAULT_SLEV_ALPHA", "ProbabilityVector", "compute_probabilities"]
-
-_ROW_BLOCK = 4096  # rows per block of the IC and PL row norms
 
 
 @dataclass(frozen=True)

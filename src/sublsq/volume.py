@@ -3,7 +3,9 @@
 Two variants:
 
 * standard - a distribution over size-r subsets S of the rows with
-  ``Pr(S) = det(X_S' X_S) / (C(n-p, r-p) det(X'X))``. Sampled by
+  ``Pr(S) = det(X_S' X_S) / (C(n-p, r-p) det(X'X))``. Over the thin SVD
+  X = U S V' that is ``det(U_S' U_S) / C(n-p, r-p)``, so the masses are
+  taken on the rows of the dataset's one factorization. Sampled by
   enumerating every subset, so n is capped at 20.
 * leveraged (Derezinski, Warmuth and Hsu, 2018) - a distribution over
   ordered index sequences tau of length r with ``Pr(tau) proportional to
@@ -15,8 +17,11 @@ Two variants:
   maximum, reached where the whitened information matrix is r times the
   identity; it reads the dataset's one factorization, is invariant under
   any rescaling of the columns, and by Cauchy-Binet a proposal is accepted
-  with probability exactly ``prod_{j<p} (1 - j/r)`` on every design.
+  with probability exactly ``prod_{j<p} (1 - j/r)`` on every design; each
+  batch proposes what that rate expects for the draws still missing.
 
+Work is sized from the inputs: determinants are taken in blocks of about
+``_BLOCK`` gathered floats (8 MB), the most a rejection batch proposes.
 Both samplers are seeded and reproducible, and agree with the enumerated
 distributions (that is the test surface).
 """
@@ -31,12 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Dataset, dataset_svd, full_rank_leverage, full_rank_svd, one_of, subset_size
-from .errors import (
-    CapacityError,
-    DegenerateDistributionError,
-    SamplingError,
-    ValidationError,
-)
+from .errors import CapacityError, DegenerateDistributionError, SamplingError, ValidationError
 from .rng import SeedLike, derive_rng
 
 __all__ = [
@@ -49,8 +49,7 @@ __all__ = [
 VARIANTS = ("standard", "leveraged")
 ENUMERATION_MAX_N = 20
 LEVERAGED_ENUMERATION_LIMIT = 2_000_000
-_DET_CHUNK = 65_536
-_REJECTION_BATCH = 8_192
+_BLOCK = 1 << 20  # index-gathered floats per block, 8 MB, as optdesign._SWAP_BLOCK
 _REJECTION_PROPOSAL_BUDGET = 5_000_000
 
 
@@ -80,26 +79,25 @@ class SubsetDistribution:
         object.__setattr__(self, "masses", masses)
 
 
-def _information(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
-    """The p x p information matrix of each index row, stacked."""
-    rows = design[index_rows]  # (m, r, p)
-    if scale is None:
-        return np.einsum("mri,mrj->mij", rows, rows)
-    return np.einsum("mri,mrj,mr->mij", rows, rows, scale[index_rows])
-
-
 def _gram_logdets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """log det of the p x p information matrix of each index row, chunked.
+    """log det of the p x p information matrix of each index row, in
+    blocks of ``max(1, _BLOCK // (r p))`` index rows.
 
     Determinants of PSD matrices: a sign <= 0 is rounding noise at zero,
     so those entries get -inf (mass 0).
     """
-    m = index_rows.shape[0]
+    m, r = index_rows.shape
+    step = max(1, _BLOCK // (r * design.shape[1]))
     out = np.empty(m)
-    for lo in range(0, m, _DET_CHUNK):
-        hi = min(lo + _DET_CHUNK, m)
-        sign, logdet = np.linalg.slogdet(_information(design, index_rows[lo:hi], scale))
-        out[lo:hi] = np.where(sign > 0, logdet, -np.inf)
+    for lo in range(0, m, step):
+        idx = index_rows[lo : lo + step]
+        rows = design[idx]  # (step, r, p)
+        if scale is None:
+            info = np.einsum("mri,mrj->mij", rows, rows)
+        else:
+            info = np.einsum("mri,mrj,mr->mij", rows, rows, scale[idx])
+        sign, logdet = np.linalg.slogdet(info)
+        out[lo : lo + step] = np.where(sign > 0, logdet, -np.inf)
     return out
 
 
@@ -127,23 +125,20 @@ def check_enumerable(n: int) -> None:
 def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     """Enumerate the exact subset distribution with determinant masses.
 
-    Requires p <= r <= n <= 20 and a full-rank design. The closed-form
-    normalizer ``C(n-p, r-p) det(X'X)`` makes the masses sum to one
-    without numerical renormalization; masses are formed from
-    log-determinants, so no row scale over- or underflows them.
+    Requires p <= r <= n <= 20 and a full-rank design. Masses are
+    ``det(U_S' U_S) / C(n-p, r-p)`` on the rows of U from X = U S V'
+    (``det(S)^2`` cancels), so by Cauchy-Binet the closed-form normalizer
+    makes them sum to one without numerical renormalization; they are
+    formed from log-determinants, and no scale of the design reaches them.
     """
     n, p = data.n, data.p
     check_enumerable(n)
     r = subset_size(r, p, n)
-    full_rank_svd(data, "standard volume sampling")
+    U = full_rank_svd(data, "standard volume sampling")[0]
 
     subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
-    logdets = _gram_logdets(data.design, subsets)
-    sign, log_full = np.linalg.slogdet(data.design.T @ data.design)
-    if sign <= 0:
-        raise DegenerateDistributionError("full-design determinant is not positive")
-    log_denom = math.log(math.comb(n - p, r - p)) + float(log_full)
-    return SubsetDistribution(subsets=subsets, masses=np.exp(logdets - log_denom))
+    log_denom = math.log(math.comb(n - p, r - p))
+    return SubsetDistribution(subsets=subsets, masses=np.exp(_gram_logdets(U, subsets) - log_denom))
 
 
 def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
@@ -182,16 +177,6 @@ def _inverse_cdf(weights: np.ndarray):
     return lambda u: np.searchsorted(cum, u, side="right")
 
 
-def _warn_if_small_r(r: int, p: int) -> None:
-    if r <= 4 * p * p:
-        warnings.warn(
-            f"leveraged volume sampling is tuned for r > 4 p^2 (= {4 * p * p}); "
-            f"got r={r}, proceeding anyway",
-            UserWarning,
-            stacklevel=3,
-        )
-
-
 def _leveraged_log_ratios(data: Dataset, inv_q: np.ndarray, proposals: np.ndarray) -> np.ndarray:
     """log of each proposal's acceptance probability: ``det(sum_k x_k x_k'/q_k)``
     over its exact bound ``r^p det(X'X)``, that is the log det minus
@@ -215,18 +200,22 @@ def _leveraged_rejection(
     A proposal is accepted with probability ``_leveraged_log_ratios``
     exponentiated, so accepted sequences follow the target exactly; the
     bound is the determinant's maximum, and the acceptance rate is
-    ``prod_{j<p} (1 - j/r)`` on every design. Only rows with ``q > 0``
-    are proposed.
+    ``prod_{j<p} (1 - j/r)`` on every design. Each batch proposes the
+    sequences that rate expects for the draws still missing, at most one
+    block of ``_BLOCK`` gathered floats and what is left of the budget.
+    Only rows with ``q > 0`` are proposed.
     """
     q, inv_q = _leveraged_proposal(data)
     propose = _inverse_cdf(q)
+    rate = math.prod(1.0 - j / r for j in range(data.p))
+    step = max(1, _BLOCK // (r * data.p))
     collected: list[np.ndarray] = []
-    used = 0
-    got = 0
+    used = got = 0
     while got < size:
-        batch = min(_REJECTION_BATCH, _REJECTION_PROPOSAL_BUDGET - used)
+        batch = min(step, _REJECTION_PROPOSAL_BUDGET - used)
+        if size - got < batch * rate:  # so a rate that underflows to 0 is never divided by
+            batch = math.ceil((size - got) / rate)
         if batch <= 0:
-            rate = math.prod(1.0 - j / r for j in range(data.p))
             raise SamplingError(
                 f"rejection sampler accepted {got}/{size} draws within "
                 f"{_REJECTION_PROPOSAL_BUDGET} proposals; at r={r}, p={data.p} a "
@@ -234,11 +223,9 @@ def _leveraged_rejection(
             )
         proposals = propose(rng.random((batch, r))).astype(np.intp)
         keep = rng.random(batch) < np.exp(_leveraged_log_ratios(data, inv_q, proposals))
+        collected.append(proposals[keep])
         used += batch
-        if np.any(keep):
-            accepted = proposals[keep]
-            collected.append(accepted)
-            got += accepted.shape[0]
+        got += collected[-1].shape[0]
     return np.concatenate(collected, axis=0)[:size]
 
 
@@ -254,15 +241,19 @@ def volume_sample(data: Dataset, r: int, variant: str, seed: SeedLike, size: int
     one_of(variant, VARIANTS, "variant")
     rng = derive_rng(seed)
     one = size is None
-    count = 1 if one else int(size)
-    if count < 1:
-        raise ValidationError("size must be positive")
+    count = 1 if one else subset_size(size, 1, what="size")
 
     if variant == "standard":
         dist = standard_volume_distribution(data, r)
         rows = dist.subsets[_inverse_cdf(dist.masses)(rng.random(count))]
     else:
         r = subset_size(r, data.p)
-        _warn_if_small_r(r, data.p)
+        if r <= 4 * data.p**2:
+            warnings.warn(
+                f"leveraged volume sampling is tuned for r > 4 p^2 (= {4 * data.p**2}); "
+                f"got r={r}, proceeding anyway",
+                UserWarning,
+                stacklevel=2,
+            )
         rows = _leveraged_rejection(data, r, rng, count)
     return rows[0] if one else rows

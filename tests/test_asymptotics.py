@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,25 @@ def test_avar_is_symmetric_psd_and_monotone_in_r():
     m = avar_matrix(d, pv, 20, 1.0).matrix
     np.testing.assert_allclose(m, m.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
+
+
+@pytest.mark.parametrize("n", [4095, 4097, 100_000])
+def test_avar_is_summed_over_row_blocks_without_an_n_by_p_temporary(n):
+    # U * omega[:, None] once took n x p floats: 8 MB here at n = 100,000
+    X = np.random.default_rng(n).standard_t(5, size=(n, 10))
+    d = Dataset(design=X, response=np.zeros(n))
+    pv = compute_probabilities(d, "BLEV")  # factors d before the traced call
+    tracemalloc.start()
+    try:
+        av = avar_matrix(d, pv, 1_000, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 8 + 2**20  # omega and its check, and one block
+    inv = np.linalg.inv(X.T @ X)
+    omega = 1.0 / (1_000 * pv.probs)
+    expect = 1.5 * (inv + inv @ (X.T @ (X * omega[:, None])) @ inv)
+    np.testing.assert_allclose(av.matrix, expect, rtol=1e-10)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -367,6 +367,23 @@ def test_subset_size_must_be_an_integer(caller, r):
         SUBSET_SIZE_CALLERS[caller](d, pv, r)
 
 
+COUNT_CALLERS = {
+    "size": lambda d, n: volume_sample(d, 4, "standard", 0, size=n),
+    "reps": lambda d, n: run_emse(d, ["RAND"], [4], reps=n, seed=0),
+    "workers": lambda d, n: run_emse(d, ["RAND"], [4], reps=1, seed=0, workers=n),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, "3", True, np.float64(2.0), 0], ids=repr)
+@pytest.mark.parametrize("what", sorted(COUNT_CALLERS))
+def test_counts_take_integers_at_least_one(what, count):
+    # volume_sample(size=2.5) once gave 2 draws; run_emse(reps=2.5) leaked a
+    # TypeError, reps=True reported reps: True, and workers=2.5 was taken
+    d = gaussian_dataset(8, 12, 2)
+    with pytest.raises(ValidationError, match=f"^{what}"):
+        COUNT_CALLERS[what](d, count)
+
+
 @pytest.mark.parametrize("r", [4, np.int64(4), np.uint8(4)], ids=repr)
 def test_subset_size_takes_python_and_numpy_integers(r):
     d = gaussian_dataset(8, 12, 2)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from itertools import combinations, product
@@ -245,6 +246,71 @@ def test_column_scaled_leveraged_draw_is_quick_and_quiet():
         elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     assert draws.shape == (5, 40)
+
+
+def test_one_leveraged_draw_at_20000_by_10_is_quick_and_small():
+    # r = 1,000 > 4 p^2: the regime the sampler is tuned for. A fixed batch
+    # of 8,192 proposals, gathered 65,536 at a time, once took 4.8 s and
+    # raised peak RSS by 750 MB for this one draw.
+    X = np.random.default_rng(0).standard_t(5, size=(20_000, 10))
+    d = Dataset(design=X, response=np.zeros(20_000))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        draw = volume_sample(d, 1_000, "leveraged", 3)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draw.shape == (1_000,)
+    assert elapsed < 1.0
+    assert peak < 64 * 2**20
+
+
+def _scored_batches(monkeypatch):
+    """The proposal count of every batch that ``_leveraged_log_ratios`` scores."""
+    batches = []
+    score = volume._leveraged_log_ratios
+
+    def counting(data, inv_q, proposals):
+        batches.append(proposals.shape[0])
+        return score(data, inv_q, proposals)
+
+    monkeypatch.setattr(volume, "_leveraged_log_ratios", counting)
+    return batches
+
+
+@pytest.mark.parametrize("block", [None, 400])
+def test_rejection_batches_follow_the_acceptance_rate(monkeypatch, block):
+    # at p = 2, r = 20 a proposal is accepted with probability 0.95, so a
+    # single draw needs about one; a fixed batch once scored 8,192
+    if block is not None:
+        monkeypatch.setattr(volume, "_BLOCK", block)
+    batches = _scored_batches(monkeypatch)
+    X = np.random.default_rng(3).standard_normal((200, 2))
+    d = Dataset(design=X, response=np.zeros(200))
+    rows = max(1, volume._BLOCK // (20 * 2))
+    one = volume_sample(d, 20, "leveraged", 5)
+    assert one.shape == (20,)
+    assert sum(batches) < 64
+    batches.clear()
+    many = volume_sample(d, 20, "leveraged", 5, size=200)
+    assert many.shape == (200, 20)
+    assert max(batches) <= rows
+    assert sum(batches) < 300
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("block", [1, 6 * 3, 7 * 6 * 3 + 5])
+def test_blocked_gram_logdets_have_the_bits_of_one_call(monkeypatch, block, scaled):
+    # every C(16, 6) subset, in blocks of 1, 1 and 7 index rows
+    X = np.random.default_rng(12).standard_t(4, size=(16, 3))
+    scale = np.linspace(0.5, 3.0, 16) if scaled else None
+    subsets = np.array(list(combinations(range(16), 6)), dtype=np.intp)
+    monkeypatch.setattr(volume, "_BLOCK", subsets.size * 3)
+    whole = volume._gram_logdets(X, subsets, scale)
+    monkeypatch.setattr(volume, "_BLOCK", block)
+    np.testing.assert_array_equal(volume._gram_logdets(X, subsets, scale), whole)
 
 
 def test_exhausted_budget_states_the_acceptance_rate(monkeypatch):
