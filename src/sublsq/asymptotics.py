@@ -12,7 +12,9 @@ it is ``sigma^2 A (I + U' Omega U) A'`` with ``A = V S^{-1}``, and
 e = -2, 0, 2 for the coefficients (the trace above), the fitted line and
 the moment vector. Each target's second term is minimized by the
 probability vector proportional to the corresponding per-row norm (IC, RL,
-PL respectively), which is the property the tests pin down.
+PL respectively), which is the property the tests pin down. Both sums
+over the rows of U are taken in blocks of ``_ROW_BLOCK`` rows, so neither
+makes an n x p temporary.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ class AsymptoticVariance:
             raise ValidationError("matrix must be square")
         if not np.isfinite(m).all():
             raise ValidationError("matrix must be finite")
+        # Both tolerances are relative to the largest entry, at any scale.
         scale = float(np.max(np.abs(m), initial=0.0))
-        if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * max(scale, 1.0):
+        if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * scale:
             raise ValidationError("matrix must be symmetric within 1e-10")
-        if float(np.min(np.linalg.eigvalsh(m))) < -1e-10 * max(scale, 1.0):
+        if float(np.min(np.linalg.eigvalsh(m))) < -1e-10 * scale:
             raise ValidationError("matrix must be positive semi-definite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -134,12 +137,17 @@ def trace_amse(
 
     In every case the value is sigma^2 * trace(fixed covariance of the
     target's full-sample estimator) plus (sigma^2/r) * sum_i norm_i/pi_i.
+    The diagonal of ``U' Omega U`` is summed over blocks of ``_ROW_BLOCK``
+    rows, as ``omega_b' (U_b * U_b)``, with no n x p temporary.
     """
     one_of(target, TARGETS, "target")
     omega, _ = _omega(probs, data.n, r, sigma2)
     U, s, _ = full_rank_svd(data, "the asymptotic MSE")
-    per_direction = 1.0 + np.einsum("ik,ik,i->k", U, U, omega)
-    with np.errstate(over="ignore"):  # checked right below
+    per_direction = np.ones(data.p)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        for lo in range(0, data.n, _ROW_BLOCK):
+            block = U[lo : lo + _ROW_BLOCK]
+            per_direction += omega[lo : lo + _ROW_BLOCK] @ (block * block)
         value = sigma2 * float(s ** _TARGET_EXPONENTS[target] @ per_direction)
     # positive by construction: zero means it underflowed
     if not 0.0 < value < np.inf:

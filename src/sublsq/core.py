@@ -8,8 +8,10 @@ NumericalError. Each ``Dataset`` is factored once: ``dataset_svd`` keeps
 the first ``thin_svd`` of its design on the object for every later
 consumer, so an n x p ``U`` stays resident while the ``Dataset`` lives;
 ``full_rank_svd`` reads it for consumers that need a full-column-rank
-design, and raises RankError otherwise. All functions are pure and
-thread-safe; returned arrays are frozen.
+design, and raises RankError otherwise. The leverage, one einsum over the
+rows of U, is kept beside it in the same way (8 bytes a row), and every
+leverage consumer reads that frozen vector and copies before it writes.
+All functions are pure and thread-safe; returned arrays are frozen.
 
 ``Dataset`` copies and checks its arrays once, at construction, so no
 caller's array is frozen or shared with it. ``take_rows`` checks
@@ -36,7 +38,7 @@ __all__ = [
 ]
 
 
-_ROW_BLOCK = 4096  # rows per block of the per-row work on U or X: IC and PL norms, U' Omega U
+_ROW_BLOCK = 4096  # rows per block of the per-row work on U or X: U itself, IC and PL norms, U' Omega U
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -206,15 +208,25 @@ def _cholesky_qr2_svd(design: np.ndarray):
     except np.linalg.LinAlgError:
         return None
     ur, s, Vt = np.linalg.svd(r2 @ r1)
-    # Q1 (R2^{-1} Ur) spares one more pass over the rows than (Q1 R2^{-1}) Ur.
-    return q1 @ (np.linalg.inv(r2) @ ur), s, Vt
+    # U = Q1 (R2^{-1} Ur), written over Q1 block by block: no second n x p
+    # array. Every block has at least _ROW_BLOCK rows, the last one also the
+    # remainder, since a one-row or short product can take another BLAS
+    # kernel (gemv, OpenBLAS's small-matrix path) with other bits.
+    t = np.linalg.inv(r2) @ ur
+    lo = 0
+    while lo < n:
+        hi = lo + _ROW_BLOCK if n - lo >= 2 * _ROW_BLOCK else n
+        q1[lo:hi] = q1[lo:hi] @ t
+        lo = hi
+    return q1, s, Vt
 
 
 def thin_svd(design: np.ndarray):
     """Thin SVD plus numerical rank: returns (U, s, Vt, rank).
 
     Tall, well-conditioned designs are factored by CholeskyQR2, in BLAS-3
-    products over the rows; every other design goes to LAPACK's SVD.
+    products over the rows that hold one n x p array at a time; every other
+    design goes to LAPACK's SVD.
     """
     svd = _cholesky_qr2_svd(design)
     U, s, Vt = svd if svd is not None else np.linalg.svd(design, full_matrices=False)
@@ -251,8 +263,9 @@ def _fit(data: Dataset, svd, rhs: np.ndarray, weights=None) -> EstimateResult:
         beta = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / s[:rank])
         if not np.all(np.isfinite(beta)):
             raise NumericalError("the least-squares coefficients overflow at this scale")
-        resid = data.response - data.design @ beta
-        rss = float(resid @ resid if weights is None else weights @ (resid * resid))
+        resid = data.design @ beta
+        np.subtract(data.response, resid, out=resid)  # one n-vector, not two
+        rss = float(resid @ resid if weights is None else weights @ np.square(resid, out=resid))
     if not np.isfinite(rss):
         raise NumericalError("the residual sum of squares overflows at this scale")
     return EstimateResult(beta=beta, rank=rank, residual_ss=rss)
@@ -297,22 +310,44 @@ def leverage_scores(data: Dataset) -> np.ndarray:
     Scores lie in [0, 1] and sum to the design rank. For a full-rank
     design this equals ``x_i' (X'X)^{-1} x_i`` and the scores sum to p.
     """
-    U, _, _, rank = dataset_svd(data)
-    scores = _squared_row_norms(U[:, :rank])
-    # Projection diagonals live in [0, 1]; shave off rounding overshoot.
-    np.clip(scores, 0.0, 1.0, out=scores)
-    return _freeze(scores)
+    # Projection diagonals live in [0, 1]; shave off rounding overshoot, in a copy.
+    return _freeze(np.clip(_kept_leverage(data), 0.0, 1.0))
 
 
-def _squared_row_norms(U: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", U, U)
+def _kept_leverage(data: Dataset) -> np.ndarray:
+    """Squared row norms of the first ``rank`` columns of U, unclipped:
+    computed at the first call, then kept on ``data``, frozen, beside its factors."""
+
+    def build():
+        U, _, _, rank = dataset_svd(data)
+        return _freeze(_squared_row_norms(U[:, :rank]))
+
+    return cached_on(data, "_leverage", build)
+
+
+def _squared_row_norms(rows: np.ndarray, scaled=None) -> np.ndarray:
+    """``einsum("ij,ij->i", S, S)``: the squared row norms of ``S = rows``, or
+    of ``S = scaled(rows)`` computed ``_ROW_BLOCK`` rows at a time.
+
+    ``scaled`` acts on each entry alone and einsum reduces each row alone,
+    so every norm has the bits of one unblocked call, and no temporary is
+    larger than one block.
+    """
+    if scaled is None:
+        return np.einsum("ij,ij->i", rows, rows)
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], _ROW_BLOCK):
+        block = scaled(rows[lo : lo + _ROW_BLOCK])
+        np.einsum("ij,ij->i", block, block, out=out[lo : lo + _ROW_BLOCK])
+    return out
 
 
 def full_rank_leverage(data: Dataset, what: str) -> np.ndarray:
     """Leverage of every row, unclipped, of a full-column-rank design with no
-    all-zero row; RankError or DegenerateDistributionError naming ``what`` otherwise."""
-    U, s, _ = full_rank_svd(data, what)
-    lev = _squared_row_norms(U)
+    all-zero row, as the frozen vector kept on ``data``; RankError or
+    DegenerateDistributionError naming ``what`` otherwise."""
+    s = full_rank_svd(data, what)[1]
+    lev = _kept_leverage(data)
     reject_zero_rows(data.design, lev, s, what)
     return lev
 

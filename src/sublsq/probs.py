@@ -15,13 +15,17 @@ Each raw weight vector is normalized by its sum exactly once. SLEV mixes
 two already-normalized vectors and is not renormalized again, which keeps
 its (1 - alpha)/n entrywise lower bound exact in floating point.
 
-The IC and PL weights are row norms, taken by ``np.linalg.norm(..., axis=1)``
-over blocks of ``_ROW_BLOCK`` rows: each row gets the bits of one call over
-all rows, and no n x p temporary is allocated. PL takes them on the design
-times the power of two that puts max|X| in [0.5, 1), so at any scale of
-the design no square overflows, and only rows below about 1e-154 max|X|
-underflow; the rescale is exact on a normal-scale design, so there the
-probabilities keep their bits.
+BLEV, SLEV and RL read the leverage kept with the dataset's factorization,
+so they share one pass over the rows of U. The IC and PL weights are row
+norms, the square roots of one ``einsum`` per block of ``_ROW_BLOCK`` rows:
+each row gets the bits of one call over all rows, and no n x p temporary is
+allocated. Each vector is normalized in its own memory, never in the kept
+leverage, and wrapped without the constructor's copy and checks, which it
+meets by construction. PL takes its norms on the design times the power of
+two that puts max|X| in [0.5, 1), so at any scale of the design no square
+overflows, and only rows below about 1e-154 max|X| underflow; the rescale
+is exact on a normal-scale design, so there the probabilities keep their
+bits.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _ROW_BLOCK, Dataset, full_rank_leverage, full_rank_svd, one_of, pow2_exponent, reject_zero_rows
+    Dataset, _freeze, _squared_row_norms, full_rank_leverage, full_rank_svd, one_of, pow2_exponent,
+    reject_zero_rows,
 )
 from .errors import DegenerateDistributionError, ValidationError
 
@@ -69,25 +74,23 @@ class ProbabilityVector:
         return self.probs.shape[0]
 
 
-def _row_norms(rows: np.ndarray, scaled) -> np.ndarray:
-    """``np.linalg.norm(scaled(rows), axis=1)``, computed ``_ROW_BLOCK`` rows at a time.
-
-    ``scaled`` maps a block of rows to the rows whose norms are taken; it
-    acts on each entry alone, so every norm has the bits of the unblocked
-    call, and no temporary is larger than one block.
-    """
-    norms = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        norms[start:stop] = np.linalg.norm(scaled(rows[start:stop]), axis=1)
-    return norms
-
-
-def _normalized(raw: np.ndarray, what: str) -> np.ndarray:
+def _normalized(raw: np.ndarray, what: str, out=None) -> np.ndarray:
+    """``raw / raw.sum()``, into ``out`` where given; DegenerateDistributionError
+    naming ``what`` where every weight is zero."""
     total = float(raw.sum())
     if total <= 0:
         raise DegenerateDistributionError(f"all {what} weights are zero")
-    return raw / total
+    return np.divide(raw, total, out=out)
+
+
+def _wrapped(probs: np.ndarray, scheme: str, alpha: float | None = None) -> ProbabilityVector:
+    """``probs``, a vector this module computed, frozen into a ProbabilityVector
+    without the constructor's copy and checks, which it meets by construction."""
+    out = object.__new__(ProbabilityVector)
+    object.__setattr__(out, "probs", _freeze(probs))
+    object.__setattr__(out, "scheme", scheme)
+    object.__setattr__(out, "alpha", alpha)
+    return out
 
 
 def slev_alpha(alpha: float | None) -> float:
@@ -117,12 +120,12 @@ def compute_probabilities(
     n = data.n
 
     if scheme == "RAND":
-        return ProbabilityVector(np.full(n, 1.0 / n), "RAND")
+        return _wrapped(np.full(n, 1.0 / n), "RAND")
 
     if scheme == "PL":
         exponent = pow2_exponent(data.design)
-        norms = _row_norms(data.design, lambda block: np.ldexp(block, -exponent))
-        return ProbabilityVector(_normalized(norms, "row-norm"), "PL")
+        norms = np.sqrt(_squared_row_norms(data.design, lambda block: np.ldexp(block, -exponent)))
+        return _wrapped(_normalized(norms, "row-norm", out=norms), "PL")
 
     if scheme == "IC":
         U, s, _ = full_rank_svd(data, "scheme IC")
@@ -131,17 +134,20 @@ def compute_probabilities(
         # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column
         # scale, and keeps each squared norm at most the row's leverage.
         ratio = s[-1] / s
-        ic_raw = _row_norms(U, lambda block: block * ratio)
+        squares = _squared_row_norms(U, lambda block: block * ratio)
         # all-zero rows would break the weighting later on
-        reject_zero_rows(data.design, np.square(ic_raw), s, "scheme IC")
-        return ProbabilityVector(_normalized(ic_raw, "inverse-covariance"), "IC")
+        reject_zero_rows(data.design, squares, s, "scheme IC")
+        ic_raw = np.sqrt(squares, out=squares)
+        return _wrapped(_normalized(ic_raw, "inverse-covariance", out=ic_raw), "IC")
 
-    lev = full_rank_leverage(data, f"scheme {scheme}")
+    lev = full_rank_leverage(data, f"scheme {scheme}")  # kept on data: never written
     if scheme in ("BLEV", "SLEV"):
         blev = _normalized(lev, "leverage")
         if scheme == "BLEV":
-            return ProbabilityVector(blev, "BLEV")
-        probs = alpha * blev + (1.0 - alpha) / n
-        return ProbabilityVector(probs, "SLEV", alpha=alpha)
+            return _wrapped(blev, "BLEV")
+        blev *= alpha
+        blev += (1.0 - alpha) / n
+        return _wrapped(blev, "SLEV", alpha=alpha)
 
-    return ProbabilityVector(_normalized(np.sqrt(lev), "root-leverage"), "RL")
+    root = np.sqrt(lev)
+    return _wrapped(_normalized(root, "root-leverage", out=root), "RL")

@@ -8,8 +8,9 @@ r cells needs the prefix sums but only r of the table's n entries, which
 keeps a vector's table on it, for callers that draw many times from one
 vector; ``draw`` reads a kept table but keeps none itself, since a kept
 vector would hold it, 16 bytes per row, for life. ``draw`` skips the
-index checks of ``SubsampleDraw``, which its alias cells meet by construction, and keeps the check that
-drawn probabilities lie in (0, 1]; that changes no draw. ``subsample_estimate`` then fits either a
+index checks of ``SubsampleDraw``, which its alias cells meet by
+construction, and keeps the check that drawn probabilities lie in (0, 1];
+that changes no draw. ``subsample_estimate`` then fits either a
 plain OLS on the drawn rows or a weighted LS with weights equal to the
 reciprocal drawn probabilities, which is the correction that keeps
 non-uniform schemes asymptotically unbiased for the full-sample estimator.

@@ -264,6 +264,25 @@ def test_avar_rejects_non_finite_matrices():
         avar_matrix(tiny, compute_probabilities(tiny, "IC"), 4, 1.0)
 
 
+@pytest.mark.parametrize(
+    "matrix, accepted",
+    [
+        ([[1e-20, 0.0], [0.0, -1e-20]], False),
+        ([[1e-20, 5e-21], [-5e-21, 1e-20]], False),
+        ([[0.0, 0.0], [0.0, 0.0]], True),
+        ([[2e-200, 1e-200], [1e-200, 2e-200]], True),
+    ],
+    ids=["indefinite_1e-20", "asymmetric_1e-20", "zero", "psd_1e-200"],
+)
+def test_avar_tolerances_are_relative_to_the_matrix_scale(matrix, accepted):
+    # a tolerance of at least 1e-10 once accepted any matrix with entries below it
+    if accepted:
+        AsymptoticVariance(np.array(matrix), 1.0, 1)
+    else:
+        with pytest.raises(ValidationError, match="symmetric|semi-definite"):
+            AsymptoticVariance(np.array(matrix), 1.0, 1)
+
+
 def _tiny_and_rescaled():
     # X'X underflows to the subnormal range; the same design scaled by 1e300 does not
     X = np.array([[1e-300, 2e-300], [3e-310, 1e-320], [5e-300, 1e-300], [1e-305, 4e-301]])

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -237,6 +238,34 @@ def test_declined_designs_get_lapack_svd_bits(name):
     assert np.array_equal(U, U0) and np.array_equal(s, s0) and np.array_equal(Vt, Vt0)
 
 
+@pytest.mark.parametrize("p", [2, 10, 50])
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 12289])
+def test_cholesky_path_forms_u_with_the_bits_of_one_product(monkeypatch, n, p):
+    # U is written over Q1 in row blocks, the last one a row past a multiple
+    # of the block at n = 4097 and 12289; every row keeps its bits
+    monkeypatch.setattr(core, "CHOLQR_MIN_ENTRIES", 0)  # so the p = 2 designs take the path too
+    X = _student_t(n + p, n, p)
+    r1 = np.linalg.cholesky(X.T @ X).T
+    q1 = X @ np.linalg.inv(r1)
+    r2 = np.linalg.cholesky(q1.T @ q1).T
+    ur, _, _ = np.linalg.svd(r2 @ r1)
+    U = core._cholesky_qr2_svd(X)[0]
+    assert np.array_equal(U, q1 @ (np.linalg.inv(r2) @ ur))
+
+
+def test_thin_svd_of_a_tall_design_holds_one_n_by_p_array():
+    X = _student_t(16, 200_000, 10)
+    assert core._cholesky_qr2_svd(X) is not None
+    tracemalloc.start()
+    try:
+        core.thin_svd(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # U itself is one; a second n x p product made it twice the design
+    assert peak < 1.1 * X.nbytes
+
+
 def test_blev_draws_on_cholesky_path_are_pinned():
     # recorded before the Cholesky path existed, when gesdd factored this design
     spec = SyntheticSpec(
@@ -285,6 +314,34 @@ def test_leverage_scores_is_a_frozen_vector(line_dataset):
     scores = leverage_scores(line_dataset)
     assert isinstance(scores, np.ndarray) and scores.shape == (3,)
     assert not scores.flags.writeable
+
+
+def test_leverage_is_computed_once_per_dataset_and_kept_frozen(monkeypatch):
+    calls = []
+    kernel = core._squared_row_norms
+
+    def counted(rows, scaled=None):
+        calls.append(scaled)
+        return kernel(rows, scaled)
+
+    monkeypatch.setattr(core, "_squared_row_norms", counted)
+    n = 20_000
+    data = Dataset(design=_student_t(17, n, 5), response=np.zeros(n))
+    got = {scheme: compute_probabilities(data, scheme).probs for scheme in ("BLEV", "SLEV", "RL")}
+    scores = leverage_scores(data)
+    volume_sample(data, 400, "leveraged", 0)
+    assert calls == [None]
+    kept = core._kept_leverage(data)
+    U = core.dataset_svd(data)[0]
+    lev = np.einsum("ij,ij->i", U, U)
+    # no consumer wrote into the kept vector, and leverage_scores clipped a copy
+    assert not kept.flags.writeable and np.array_equal(kept, lev)
+    assert not np.shares_memory(scores, kept)
+    # the formulas of the unkept leverage, bit for bit
+    blev = lev / lev.sum()
+    assert np.array_equal(got["BLEV"], blev)
+    assert np.array_equal(got["SLEV"], 0.9 * blev + (1.0 - 0.9) / n)
+    assert np.array_equal(got["RL"], np.sqrt(lev) / np.sqrt(lev).sum())
 
 
 def _uniform(data):

@@ -142,25 +142,31 @@ def test_pl_keeps_its_bits_where_squared_rows_over_or_underflow(power):
     assert np.array_equal(compute_probabilities(scaled, "PL").probs, base)
 
 
+def _root_squared_row_norms(S):
+    return np.sqrt(np.einsum("ij,ij->i", S, S))
+
+
 def _ic_reference(data):
     U, s, _ = core.full_rank_svd(data, "IC")
-    raw = np.linalg.norm(U * (s[-1] / s), axis=1)
+    raw = _root_squared_row_norms(U * (s[-1] / s))
     return raw / raw.sum()
 
 
 def _pl_reference(data):
-    raw = np.linalg.norm(data.design, axis=1)
+    raw = _root_squared_row_norms(data.design)
     return raw / raw.sum()
 
 
 @pytest.mark.parametrize("p", [1, 2, 10, 50])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_blocked_row_norms_have_the_bits_of_one_norm_call(offset, p):
-    n = probs._ROW_BLOCK + offset
+    # the bits of one unblocked einsum of the scaled rows
+    n = core._ROW_BLOCK + offset
     X = np.random.default_rng(p).standard_t(5, size=(n, p))
     scale = np.linspace(0.5, 2.0, p)
     np.testing.assert_array_equal(
-        probs._row_norms(X, lambda block: block * scale), np.linalg.norm(X * scale, axis=1)
+        core._squared_row_norms(X, lambda block: block * scale),
+        np.einsum("ij,ij->i", X * scale, X * scale),
     )
     data = Dataset(design=X, response=np.zeros(n))
     np.testing.assert_array_equal(compute_probabilities(data, "IC").probs, _ic_reference(data))
