@@ -252,10 +252,13 @@ def run_emse(
     them over threads. The report is identical for any worker count.
     A method and r that break a rule every replicate would break (IBOSS
     at an r that 2p does not divide, VOL beyond the enumeration cap) raise
-    before any replicate runs, instead of failing every replicate.
+    before any replicate runs, instead of failing every replicate, and
+    so do empty ``methods`` or ``r_values``.
     """
     methods = tuple(one_of(m.upper(), REGISTERED_METHODS, "method") for m in methods)
     r_values = tuple(subset_size(r, data.p) for r in r_values)
+    if not methods or not r_values:
+        raise ValidationError(f"{'r_values' if methods else 'methods'} must not be empty")
     reps = subset_size(reps, 1, what="reps")
     workers = subset_size(workers, 1, what="workers")
     alpha = slev_alpha(alpha)

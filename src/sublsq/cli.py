@@ -51,6 +51,9 @@ _SELECT_METHODS = {
     "volume-leveraged": "LEVVOL",
 }
 
+# The flags of `_load_dataset`, which `bench --synthetic` does not read.
+_DATA_FLAGS = ("--input", "--response", "--predictors", "--log-columns", "--drop-head-rows", "--intercept")
+
 __all__ = ["RunConfig", "parse_csv", "main"]
 
 
@@ -104,7 +107,7 @@ def _parse_bulk(path: str, config: RunConfig) -> tuple[list[str], np.ndarray] | 
     if config.drop_head_rows < 0:
         return None
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             header = [h.strip() for h in next(csv.reader(fh))]
             with warnings.catch_warnings():
                 # "input contained no data" becomes an exception: hand off
@@ -128,7 +131,7 @@ def _parse_bulk(path: str, config: RunConfig) -> tuple[list[str], np.ndarray] | 
 def _parse_rows(path: str, config: RunConfig) -> Dataset:
     """Row-by-row reader: ``float()`` per cell, errors named by line and column."""
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -232,7 +235,7 @@ def _load_dataset(args, need_response: bool) -> Dataset:
         drop_head_rows=args.drop_head_rows,
     )
     data = parse_csv(args.input, config)
-    if getattr(args, "intercept", False):
+    if args.intercept:
         data = Dataset(
             design=np.column_stack([np.ones(data.n), data.design]),
             response=data.response,
@@ -261,86 +264,66 @@ def _jsonable(obj):
     return obj
 
 
-def _add_data_flags(sp):
-    sp.add_argument("--input", help="CSV file with a header row")
-    sp.add_argument("--response", help="response column name or index")
-    sp.add_argument("--predictors", help="comma-separated predictor columns (default: all others)")
-    sp.add_argument("--log-columns", dest="log_columns", help="columns to log-transform")
-    sp.add_argument("--drop-head-rows", dest="drop_head_rows", type=int, default=0)
-    sp.add_argument("--intercept", action="store_true", help="prepend a column of ones")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sublsq",
         description="Subsampling estimators for large-scale least squares",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    # Flag groups, each declared once and shared as a parent parser.
+    common, data, scheme, size, seed, criterion = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
     common.add_argument("--output", help="write the JSON document (CSV for simulate) here")
+    data.add_argument("--input", help="CSV file with a header row")
+    data.add_argument("--response", help="response column name or index")
+    data.add_argument("--predictors", help="comma-separated predictor columns (default: all others)")
+    data.add_argument("--log-columns", dest="log_columns", help="columns to log-transform")
+    data.add_argument("--drop-head-rows", dest="drop_head_rows", type=int, default=0)
+    data.add_argument("--intercept", action="store_true", help="prepend a column of ones")
+    scheme.add_argument("--scheme", required=True, help=f"one of {', '.join(SCHEMES)}")
+    scheme.add_argument("--alpha", type=float, default=None, help="SLEV mixing weight")
+    size.add_argument("--r", type=int, required=True, help="subsample size")
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    criterion.add_argument("--criterion", choices=CRITERIA, default="D")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("fit", parents=[common], help="full ordinary least squares")
-    _add_data_flags(sp)
+    def command(name, run, summary, *groups):
+        sp = sub.add_parser(name, parents=[common, *groups], help=summary)
+        sp.set_defaults(run=run)
+        return sp
 
-    sp = sub.add_parser("probs", parents=[common], help="per-row sampling probabilities")
-    _add_data_flags(sp)
-    sp.add_argument("--scheme", required=True, help=f"one of {', '.join(SCHEMES)}")
-    sp.add_argument("--alpha", type=float, default=None, help="SLEV mixing weight")
-
-    sp = sub.add_parser("subsample", parents=[common], help="one draw plus its estimate")
-    _add_data_flags(sp)
-    sp.add_argument("--scheme", required=True)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--r", type=int, required=True)
+    command("fit", _run_fit, "full ordinary least squares", data)
+    command("probs", _run_probs, "per-row sampling probabilities", data, scheme)
+    sp = command("subsample", _run_subsample, "one draw plus its estimate", data, scheme, size, seed)
     sp.add_argument("--mode", choices=("plain", "weighted"), default="weighted")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    sp = sub.add_parser("select", parents=[common], help="deterministic or volume subset selection")
-    _add_data_flags(sp)
-    sp.add_argument(
-        "--method",
-        required=True,
-        choices=tuple(_SELECT_METHODS),
-    )
-    sp.add_argument("--criterion", choices=CRITERIA, default="D")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    sp = sub.add_parser("amse", parents=[common], help="asymptotic variance and trace-AMSE")
-    _add_data_flags(sp)
-    sp.add_argument("--scheme", required=True)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--r", type=int, required=True)
+    sp = command("select", _run_select, "deterministic or volume subset selection", data, criterion, size, seed)
+    sp.add_argument("--method", required=True, choices=tuple(_SELECT_METHODS))
+    sp = command("amse", _run_amse, "asymptotic variance and trace-AMSE", data, scheme, size)
     sp.add_argument("--sigma2", type=float, default=None, help="noise variance (default: estimated)")
 
-    sp = sub.add_parser("bench", parents=[common], help="bootstrap EMSE benchmark")
-    _add_data_flags(sp)
+    sp = command("bench", _run_bench, "bootstrap EMSE benchmark", data, seed, criterion)
     sp.add_argument("--synthetic", choices=("t5_line",), help="use built-in synthetic data instead of --input")
     sp.add_argument("--n", type=int, default=1000, help="synthetic sample size")
     sp.add_argument("--methods", default="RAND,BLEV,SLEV,IC,RL,PL")
     sp.add_argument("--r", help="comma-separated subsample sizes (default 5p,10p,15p,20p)")
     sp.add_argument("--reps", type=int, default=bench_mod.DEFAULT_REPS)
     sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--criterion", choices=CRITERIA, default="D")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--table", action="store_true", help="also print an aligned text table")
     sp.add_argument("--timings", action="store_true", help="include wall-clock timings (breaks byte-identical reruns)")
 
-    sp = sub.add_parser("simulate", parents=[common], help="write synthetic data to CSV")
+    sp = command("simulate", _run_simulate, "write synthetic data to CSV", seed)
     sp.add_argument("--family", choices=bench_mod.DESIGN_FAMILIES, default="t5_line")
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--df", type=float, default=None)
     sp.add_argument("--beta0", help="comma-separated coefficients (default: all ones)")
     sp.add_argument("--noise-sd", dest="noise_sd", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
     return parser
 
 
 def _config_echo(args) -> dict:
-    skip = {"command", "output"}
+    skip = {"command", "output", "run"}
     return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -353,7 +336,7 @@ def _run_fit(args):
         "residual_ss": fit.residual_ss,
         "n": data.n,
         "p": data.p,
-    }
+    }, None
 
 
 def _run_probs(args):
@@ -362,7 +345,7 @@ def _run_probs(args):
     out = {"scheme": pv.scheme, "probs": pv.probs}
     if pv.alpha is not None:
         out["alpha"] = pv.alpha
-    return out
+    return out, None
 
 
 def _run_subsample(args):
@@ -378,7 +361,7 @@ def _run_subsample(args):
         "beta": est.beta,
         "rank": est.rank,
         "residual_ss": est.residual_ss,
-    }
+    }, None
 
 
 def _run_select(args):
@@ -386,11 +369,11 @@ def _run_select(args):
     select = bench_mod.SELECTIONS[_SELECT_METHODS[args.method]]
     picked = select(data, args.r, args.seed, args.criterion)
     if not isinstance(picked, SubsetSelection):
-        return {"method": args.method, "indices": picked}
+        return {"method": args.method, "indices": picked}, None
     out = {"method": args.method, "indices": picked.indices, "value": picked.value}
     if picked.criterion in CRITERIA:
         out["criterion"] = picked.criterion
-    return out
+    return out, None
 
 
 def _run_amse(args):
@@ -407,7 +390,7 @@ def _run_amse(args):
         "avar_matrix": av.matrix,
         "trace_amse": {t: trace_amse(data, pv, args.r, sigma2, t) for t in TARGETS},
         "diagnostics": asdict(diag),
-    }
+    }, None
 
 
 def _render_table(report) -> str:
@@ -427,6 +410,9 @@ def _render_table(report) -> str:
 
 def _run_bench(args):
     if args.synthetic:
+        stray = [flag for flag in _DATA_FLAGS if getattr(args, flag[2:].replace("-", "_"))]
+        if stray:
+            raise ValidationError(f"--synthetic takes no data flags, got {', '.join(stray)}")
         data = bench_mod.generate_synthetic(bench_mod.t5_line_spec(n=args.n), args.seed)
     else:
         data = _load_dataset(args, need_response=True)
@@ -456,18 +442,15 @@ def _run_bench(args):
 
 
 def _run_simulate(args):
-    if args.family == "t5_line":
-        spec = bench_mod.t5_line_spec(n=args.n, noise_sd=args.noise_sd)
-    else:
-        beta0 = _number_list(args.beta0, "--beta0", float) if args.beta0 else (1.0,) * args.p
-        spec = bench_mod.SyntheticSpec(
-            n=args.n,
-            p=args.p,
-            design_family=args.family,
-            beta0=beta0,
-            noise_sd=args.noise_sd,
-            df=args.df,
-        )
+    beta0 = _number_list(args.beta0, "--beta0", float) if args.beta0 else (1.0,) * args.p
+    spec = bench_mod.SyntheticSpec(
+        n=args.n,
+        p=args.p,
+        design_family=args.family,
+        beta0=beta0,
+        noise_sd=args.noise_sd,
+        df=args.df,
+    )
     data = bench_mod.generate_synthetic(spec, args.seed)
     if args.output is None:
         raise ValidationError("simulate requires --output for the CSV destination")
@@ -489,7 +472,7 @@ def _run_simulate(args):
         "p": data.p,
         "family": spec.design_family,
         "fingerprint": bench_mod.dataset_fingerprint(data),
-    }
+    }, None
 
 
 def main(argv=None) -> int:
@@ -501,23 +484,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     t0 = time.perf_counter()
-    table = None
     try:
-        if args.command == "fit":
-            results = _run_fit(args)
-        elif args.command == "probs":
-            results = _run_probs(args)
-        elif args.command == "subsample":
-            results = _run_subsample(args)
-        elif args.command == "select":
-            results = _run_select(args)
-        elif args.command == "amse":
-            results = _run_amse(args)
-        elif args.command == "bench":
-            results, table = _run_bench(args)
-        else:
-            results = _run_simulate(args)
-
+        results, table = args.run(args)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         doc = {
             "schema_version": SCHEMA_VERSION,

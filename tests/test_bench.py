@@ -214,6 +214,14 @@ def test_run_emse_validation():
         run_emse(data, ["GREEDY"], [4], reps=2, seed=0, criterion="T")
 
 
+@pytest.mark.parametrize("methods, r_values, name", [((), [10], "methods"), (["RAND"], [], "r_values")])
+def test_run_emse_rejects_an_empty_method_or_size_list(methods, r_values, name):
+    # once returned a report with no records
+    data = generate_synthetic(heavy_tailed_spec(50), 17)
+    with pytest.raises(ValidationError, match=f"^{name} must not be empty"):
+        run_emse(data, methods, r_values, reps=2, seed=0)
+
+
 def test_registered_methods_keep_their_names_and_order():
     assert REGISTERED_METHODS == (
         "OLS", "RAND", "BLEV", "SLEV", "IC", "RL", "PL",

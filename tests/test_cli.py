@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sublsq.bench import DESIGN_FAMILIES, SyntheticSpec, generate_synthetic, t5_line_spec
+from sublsq.bench import (
+    DESIGN_FAMILIES,
+    SyntheticSpec,
+    dataset_fingerprint,
+    generate_synthetic,
+    t5_line_spec,
+)
 from sublsq.cli import RunConfig, main, parse_csv
 from sublsq.errors import ValidationError
 
@@ -330,8 +336,10 @@ def test_simulate_writes_csv_writer_bytes(tmp_path, capsys, family):
     # more rows than one write block, and a partial last block
     n = 20_001
     csv_path = tmp_path / "sim.csv"
-    argv = ["simulate", "--family", family, "--n", str(n), "--p", "3", "--seed", "4",
+    argv = ["simulate", "--family", family, "--n", str(n), "--seed", "4",
             "--output", str(csv_path)]
+    if family != "t5_line":
+        argv += ["--p", "3"]
     if family == "student_t":
         argv += ["--df", "3"]
     assert main(argv) == 0
@@ -505,3 +513,85 @@ def test_invalid_utf8_is_an_input_error(capsys, tmp_path):
     code, _, err = _run(capsys, ["fit", "--input", str(path), "--response", "y"])
     assert code == 1
     assert "not valid UTF-8" in err
+
+
+COMMANDS = ("fit", "probs", "subsample", "select", "amse", "bench", "simulate")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_prints_help(capsys, command):
+    code, out, _ = _run(capsys, [command, "--help"])
+    assert code == 0 and f"usage: sublsq {command}" in out
+
+
+DATA_KEYS = {"input", "response", "predictors", "log_columns", "drop_head_rows", "intercept"}
+CONFIG_KEYS = {
+    "fit": DATA_KEYS,
+    "probs": DATA_KEYS | {"scheme", "alpha"},
+    "subsample": DATA_KEYS | {"scheme", "alpha", "r", "mode", "seed"},
+    "select": DATA_KEYS | {"method", "criterion", "r", "seed"},
+    "amse": DATA_KEYS | {"scheme", "alpha", "r", "sigma2"},
+    "bench": DATA_KEYS | {"synthetic", "n", "methods", "r", "reps", "alpha", "criterion", "seed",
+                          "workers", "table", "timings"},
+    "simulate": {"family", "n", "p", "df", "beta0", "noise_sd", "seed"},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_echoed_config_keys_are_pinned(capsys, tmp_path, command):
+    path = _write(tmp_path / "d.csv", "u,v,y\n" + "".join(
+        f"{a},{b},{a + 2 * b + c}\n" for a, b, c in np.random.default_rng(1).standard_normal((40, 3))
+    ))
+    data = ["--input", path, "--response", "y"]
+    argv = {
+        "fit": data,
+        "probs": [*data, "--scheme", "blev"],
+        "subsample": [*data, "--scheme", "blev", "--r", "10"],
+        "select": [*data, "--method", "greedy", "--r", "8"],
+        "amse": [*data, "--scheme", "ic", "--r", "10"],
+        "bench": ["--synthetic", "t5_line", "--n", "50", "--methods", "RAND", "--r", "8", "--reps", "2"],
+        "simulate": ["--n", "10", "--output", str(tmp_path / "sim.csv")],
+    }[command]
+    code, out, err = _run(capsys, [command, *argv])
+    assert code == 0, err
+    assert set(json.loads(out)["config"]) == CONFIG_KEYS[command]
+
+
+@pytest.mark.parametrize("flag", [["--p", "5"], ["--df", "5"]])
+def test_simulate_t5_line_rejects_flags_it_cannot_honor(capsys, tmp_path, flag):
+    # both were once dropped while the config echoed them
+    csv_path = tmp_path / "sim.csv"
+    code, out, err = _run(capsys, ["simulate", "--family", "t5_line", *flag, "--output", str(csv_path)])
+    assert code == 1 and out == "" and "input error" in err
+    assert not csv_path.exists()
+
+
+def test_simulate_t5_line_honors_beta0(capsys, tmp_path):
+    code, out, _ = _run(capsys, [
+        "simulate", "--family", "t5_line", "--n", "300", "--beta0", "2,3", "--seed", "6",
+        "--output", str(tmp_path / "sim.csv"),
+    ])
+    assert code == 0
+    expected = generate_synthetic(SyntheticSpec(300, 2, "t5_line", (2.0, 3.0), 1.0), 6)
+    assert json.loads(out)["results"]["fingerprint"] == dataset_fingerprint(expected)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--input", "/nonexistent.csv"], ["--response", "y"], ["--predictors", "x1"],
+    ["--log-columns", "x1"], ["--drop-head-rows", "3"], ["--intercept"],
+])
+def test_bench_synthetic_rejects_data_flags(capsys, flags):
+    # once ignored, while the config echoed them
+    code, out, err = _run(capsys, [
+        "bench", "--synthetic", "t5_line", "--n", "50", "--methods", "RAND", "--r", "8",
+        "--reps", "2", *flags,
+    ])
+    assert code == 1 and out == ""
+    assert f"input error: --synthetic takes no data flags, got {flags[0]}" in err
+
+
+def test_bench_with_no_methods_is_an_input_error(capsys):
+    code, out, err = _run(capsys, ["bench", "--synthetic", "t5_line", "--methods", ""])
+    assert code == 1 and out == ""
+    assert "input error: methods must not be empty" in err
+

@@ -92,3 +92,17 @@ def test_clean_numeric_file_takes_the_bulk_path(tmp_path, monkeypatch):
     with pytest.raises(AssertionError, match="handed off"):
         cli.parse_csv(str(quoted), config)
     np.testing.assert_array_equal(data.response, [3.0, 4.0, 5.0])
+
+
+@pytest.mark.parametrize("parse", [cli.parse_csv, cli._parse_rows])
+@pytest.mark.parametrize("config", [
+    RunConfig(response_column="y", predictor_columns=("x1", "x2")),
+    RunConfig(response_column="x1"),
+])
+def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, parse, config):
+    # a UTF-8 BOM, as spreadsheet "CSV UTF-8" exports write, once stuck to "x1"
+    text = "x1,x2,y\n1,2,3\n4,5,6.5\n7,8,9\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert _outcome(parse, str(marked), config) == _outcome(parse, str(plain), config)
