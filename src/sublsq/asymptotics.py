@@ -12,18 +12,20 @@ it is ``sigma^2 A (I + U' Omega U) A'`` with ``A = V S^{-1}``, and
 e = -2, 0, 2 for the coefficients (the trace above), the fitted line and
 the moment vector. Each target's second term is minimized by the
 probability vector proportional to the corresponding per-row norm (IC, RL,
-PL respectively), which is the property the tests pin down. Both sums
-over the rows of U are taken in blocks of ``_ROW_BLOCK`` rows, so neither
-makes an n x p temporary.
+PL respectively), which is the property the tests pin down. Both read
+one p x p matrix, ``G = U' diag(1/pi) U = r U' Omega U``, summed over
+blocks of ``_ROW_BLOCK`` rows of U once per (dataset, probability vector)
+and kept on the vector, so a sweep over r or over the targets reuses it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ROW_BLOCK, Dataset, dataset_svd, full_rank_svd, ols_fit, one_of, subset_size
+from .core import _ROW_BLOCK, Dataset, _freeze, dataset_svd, full_rank_svd, ols_fit, one_of, subset_size
 from .errors import NumericalError, ValidationError
 from .probs import ProbabilityVector
 
@@ -92,9 +94,8 @@ def _paired(probs: ProbabilityVector, n: int, r: int) -> tuple[np.ndarray, int]:
     return probs.probs, r
 
 
-def _omega(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> tuple[np.ndarray, int]:
-    """The diagonal of Omega, 1 / (r pi), and r as an int, once r, sigma2
-    and pi are checked."""
+def _checked_r(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> int:
+    """r as an int, once r, sigma2 and pi > 0, the inputs of Omega = diag(1 / (r pi)), are checked."""
     pi, r = _paired(probs, n, r)
     if not sigma2 > 0 or not np.isfinite(sigma2):
         raise ValidationError(f"sigma2 must be a positive real, got {sigma2}")
@@ -103,22 +104,40 @@ def _omega(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> tuple[np.
             "every sampling probability must be strictly positive here; "
             "zero-probability rows make the weight matrix undefined"
         )
-    return 1.0 / (r * pi), r
+    return r
+
+
+def _weighted_gram(data: Dataset, probs: ProbabilityVector) -> np.ndarray:
+    """The frozen p x p matrix ``U' diag(1/pi) U`` over the kept U of ``data``.
+
+    Summed over blocks of ``_ROW_BLOCK`` rows at the first call, then kept
+    on ``probs`` in one slot beside a weak reference to ``data``: a call
+    with another dataset sums afresh and takes the slot, and a race sums
+    twice. Callers check the rank and that pi > 0 first.
+    """
+    kept = probs.__dict__.get("_weighted_gram")
+    if kept is not None and kept[0]() is data:
+        return kept[1]
+    U, pi = dataset_svd(data)[0], probs.probs
+    gram = np.zeros((data.p, data.p))
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers check their results
+        for lo in range(0, data.n, _ROW_BLOCK):
+            block = U[lo : lo + _ROW_BLOCK]
+            gram += block.T @ (block / pi[lo : lo + _ROW_BLOCK, None])
+    probs.__dict__["_weighted_gram"] = (weakref.ref(data), _freeze(gram))
+    return gram
 
 
 def avar_matrix(
     data: Dataset, probs: ProbabilityVector, r: int, sigma2: float
 ) -> AsymptoticVariance:
-    """Asymptotic covariance of the weighted subsample estimator; ``U' Omega U``
-    is summed over blocks of ``_ROW_BLOCK`` rows, with no n x p temporary."""
-    omega, r = _omega(probs, data.n, r, sigma2)
-    U, s, Vt = full_rank_svd(data, "the asymptotic variance")
+    """Asymptotic covariance of the weighted subsample estimator, from
+    ``U' Omega U = G / r`` with the kept ``G = U' diag(1/pi) U``."""
+    r = _checked_r(probs, data.n, r, sigma2)
+    _, s, Vt = full_rank_svd(data, "the asymptotic variance")
     A = Vt.T / s
-    inner = np.eye(data.p)
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        for lo in range(0, data.n, _ROW_BLOCK):
-            block = U[lo : lo + _ROW_BLOCK]
-            inner += block.T @ (block * omega[lo : lo + _ROW_BLOCK, None])
+        inner = np.eye(data.p) + _weighted_gram(data, probs) / r
         m = sigma2 * (A @ inner @ A.T)
         m = 0.5 * (m + m.T)
     if not np.isfinite(m).all():
@@ -137,17 +156,14 @@ def trace_amse(
 
     In every case the value is sigma^2 * trace(fixed covariance of the
     target's full-sample estimator) plus (sigma^2/r) * sum_i norm_i/pi_i.
-    The diagonal of ``U' Omega U`` is summed over blocks of ``_ROW_BLOCK``
-    rows, as ``omega_b' (U_b * U_b)``, with no n x p temporary.
+    The diagonal of ``U' Omega U`` is that of the kept
+    ``G = U' diag(1/pi) U`` over r, so a first call sums all of G.
     """
     one_of(target, TARGETS, "target")
-    omega, _ = _omega(probs, data.n, r, sigma2)
-    U, s, _ = full_rank_svd(data, "the asymptotic MSE")
-    per_direction = np.ones(data.p)
+    r = _checked_r(probs, data.n, r, sigma2)
+    _, s, _ = full_rank_svd(data, "the asymptotic MSE")
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        for lo in range(0, data.n, _ROW_BLOCK):
-            block = U[lo : lo + _ROW_BLOCK]
-            per_direction += omega[lo : lo + _ROW_BLOCK] @ (block * block)
+        per_direction = 1.0 + np.diag(_weighted_gram(data, probs)) / r
         value = sigma2 * float(s ** _TARGET_EXPONENTS[target] @ per_direction)
     # positive by construction: zero means it underflowed
     if not 0.0 < value < np.inf:

@@ -417,7 +417,7 @@ def _run_bench(args):
     else:
         data = _load_dataset(args, need_response=True)
     methods = _split_list(args.methods)
-    r_values = _number_list(args.r, "--r", int) if args.r else bench_mod.default_r_grid(data.p)
+    r_values = _number_list(args.r, "--r", int) if args.r is not None else bench_mod.default_r_grid(data.p)
     report = bench_mod.run_emse(
         data,
         methods,
@@ -442,7 +442,7 @@ def _run_bench(args):
 
 
 def _run_simulate(args):
-    beta0 = _number_list(args.beta0, "--beta0", float) if args.beta0 else (1.0,) * args.p
+    beta0 = _number_list(args.beta0, "--beta0", float) if args.beta0 is not None else (1.0,) * args.p
     spec = bench_mod.SyntheticSpec(
         n=args.n,
         p=args.p,

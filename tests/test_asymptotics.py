@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from sublsq import (
     subsample_estimate,
     trace_amse,
 )
+from sublsq import asymptotics
 from sublsq.asymptotics import TARGETS
 from sublsq.probs import SCHEMES
 from sublsq.rng import derive_rng
@@ -71,6 +74,66 @@ def test_avar_is_summed_over_row_blocks_without_an_n_by_p_temporary(n):
     omega = 1.0 / (1_000 * pv.probs)
     expect = 1.5 * (inv + inv @ (X.T @ (X * omega[:, None])) @ inv)
     np.testing.assert_allclose(av.matrix, expect, rtol=1e-10)
+
+
+def test_one_amse_analysis_sums_the_weighted_gram_once(monkeypatch):
+    d = gaussian_dataset(31, 9_000, 4)
+    pv = compute_probabilities(d, "IC")
+    sums, kept_svd = [], asymptotics.dataset_svd
+    # in avar_matrix and trace_amse, only the sum of U' diag(1/pi) U reads dataset_svd
+    monkeypatch.setattr(asymptotics, "dataset_svd", lambda data: sums.append(data) or kept_svd(data))
+    avar_matrix(d, pv, 100, 1.0)
+    for target in TARGETS:
+        trace_amse(d, pv, 100, 1.0, target)
+    assert len(sums) == 1
+    for r in (10, 20, 40):  # G does not depend on r
+        avar_matrix(d, pv, r, 2.0)
+        trace_amse(d, pv, r, 2.0, "Xbeta")
+    assert len(sums) == 1
+
+
+def test_kept_gram_belongs_to_its_dataset():
+    first, second = gaussian_dataset(32, 300, 3), gaussian_dataset(33, 300, 3)
+    pv = compute_probabilities(first, "RAND")
+    for d in (first, second, first, second):
+        fresh = ProbabilityVector(pv.probs, pv.scheme)  # nothing kept on it yet
+        np.testing.assert_array_equal(avar_matrix(d, pv, 20, 1.1).matrix, avar_matrix(d, fresh, 20, 1.1).matrix)
+        for target in TARGETS:
+            assert trace_amse(d, pv, 20, 1.1, target) == trace_amse(d, fresh, 20, 1.1, target)
+
+
+def test_kept_gram_does_not_keep_its_dataset_alive():
+    d = gaussian_dataset(34, 300, 3)
+    pv = compute_probabilities(d, "BLEV")
+    avar_matrix(d, pv, 20, 1.0)
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+    other = gaussian_dataset(35, 300, 3)
+    assert trace_amse(other, pv, 20, 1.0, "beta") == trace_amse(
+        other, ProbabilityVector(pv.probs, pv.scheme), 20, 1.0, "beta"
+    )
+
+
+@pytest.mark.parametrize("call", [
+    lambda d, pv: avar_matrix(d, pv, 1_000, 1.5),
+    lambda d, pv: trace_amse(d, pv, 1_000, 1.5, "beta"),
+], ids=["avar_matrix", "trace_amse"])
+def test_warm_amse_calls_allocate_nothing_n_long(call):
+    # each call once built the n-vector 1 / (r pi) and summed U over it afresh
+    n = 3 * 4096 + 1_000
+    X = np.random.default_rng(36).standard_t(5, size=(n, 10))
+    d = Dataset(design=X, response=np.zeros(n))
+    pv = compute_probabilities(d, "PL")
+    avar_matrix(d, pv, 10, 1.0)  # factors d and sums G before the traced call
+    tracemalloc.start()
+    try:
+        call(d, pv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

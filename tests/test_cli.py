@@ -595,3 +595,23 @@ def test_bench_with_no_methods_is_an_input_error(capsys):
     assert code == 1 and out == ""
     assert "input error: methods must not be empty" in err
 
+
+
+def test_bench_with_an_empty_r_list_is_an_input_error(capsys):
+    # once ran the default grid 10, 20, 30, 40 while echoing "r": ""
+    code, out, err = _run(capsys, [
+        "bench", "--synthetic", "t5_line", "--n", "50", "--reps", "2", "--methods", "RAND", "--r", "",
+    ])
+    assert code == 1 and out == ""
+    assert "input error: r_values must not be empty" in err
+
+
+def test_simulate_with_an_empty_beta0_is_an_input_error(capsys, tmp_path):
+    # once wrote all-ones coefficients while echoing "beta0": ""
+    csv_path = tmp_path / "sim.csv"
+    code, out, err = _run(capsys, [
+        "simulate", "--family", "gaussian", "--n", "20", "--p", "3", "--beta0", "", "--output", str(csv_path),
+    ])
+    assert code == 1 and out == ""
+    assert "input error: beta0 must have length p=3" in err
+    assert not csv_path.exists()
