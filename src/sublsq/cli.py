@@ -51,9 +51,6 @@ _SELECT_METHODS = {
     "volume-leveraged": "LEVVOL",
 }
 
-# The flags of `_load_dataset`, which `bench --synthetic` does not read.
-_DATA_FLAGS = ("--input", "--response", "--predictors", "--log-columns", "--drop-head-rows", "--intercept")
-
 __all__ = ["RunConfig", "parse_csv", "main"]
 
 
@@ -228,9 +225,12 @@ def _load_dataset(args, need_response: bool) -> Dataset:
         raise ValidationError("--input is required for this subcommand")
     if need_response and args.response is None:
         raise ValidationError("--response is required for this subcommand")
+    predictors = None if args.predictors is None else _split_list(args.predictors)
+    if predictors == ():
+        raise ValidationError("--predictors must name at least one column")
     config = RunConfig(
         response_column=args.response,
-        predictor_columns=_split_list(args.predictors) or None,
+        predictor_columns=predictors,
         log_columns=_split_list(args.log_columns),
         drop_head_rows=args.drop_head_rows,
     )
@@ -264,22 +264,29 @@ def _jsonable(obj):
     return obj
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sublsq",
-        description="Subsampling estimators for large-scale least squares",
-    )
-    # Flag groups, each declared once and shared as a parent parser.
-    common, data, scheme, size, seed, criterion = (
-        argparse.ArgumentParser(add_help=False) for _ in range(6)
-    )
-    common.add_argument("--output", help="write the JSON document (CSV for simulate) here")
+def _data_flags() -> argparse.ArgumentParser:
+    """The flags of `_load_dataset`, as a parent parser; `bench --synthetic` reads none of them."""
+    data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--input", help="CSV file with a header row")
     data.add_argument("--response", help="response column name or index")
     data.add_argument("--predictors", help="comma-separated predictor columns (default: all others)")
     data.add_argument("--log-columns", dest="log_columns", help="columns to log-transform")
     data.add_argument("--drop-head-rows", dest="drop_head_rows", type=int, default=0)
     data.add_argument("--intercept", action="store_true", help="prepend a column of ones")
+    return data
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sublsq",
+        description="Subsampling estimators for large-scale least squares",
+    )
+    # Flag groups, each declared once and shared as a parent parser.
+    common, scheme, size, seed, criterion = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    data = _data_flags()
+    common.add_argument("--output", help="write the JSON document (CSV for simulate) here")
     scheme.add_argument("--scheme", required=True, help=f"one of {', '.join(SCHEMES)}")
     scheme.add_argument("--alpha", type=float, default=None, help="SLEV mixing weight")
     size.add_argument("--r", type=int, required=True, help="subsample size")
@@ -410,7 +417,11 @@ def _render_table(report) -> str:
 
 def _run_bench(args):
     if args.synthetic:
-        stray = [flag for flag in _DATA_FLAGS if getattr(args, flag[2:].replace("-", "_"))]
+        # a flag is given wherever it is off its default, even at an empty value
+        defaults = vars(_data_flags().parse_args([]))
+        stray = [
+            f"--{dest.replace('_', '-')}" for dest, value in defaults.items() if getattr(args, dest) != value
+        ]
         if stray:
             raise ValidationError(f"--synthetic takes no data flags, got {', '.join(stray)}")
         data = bench_mod.generate_synthetic(bench_mod.t5_line_spec(n=args.n), args.seed)

@@ -17,15 +17,18 @@ its (1 - alpha)/n entrywise lower bound exact in floating point.
 
 BLEV, SLEV and RL read the leverage kept with the dataset's factorization,
 so they share one pass over the rows of U. The IC and PL weights are row
-norms, the square roots of one ``einsum`` per block of ``_ROW_BLOCK`` rows:
-each row gets the bits of one call over all rows, and no n x p temporary is
-allocated. Each vector is normalized in its own memory, never in the kept
-leverage, and wrapped without the constructor's copy and checks, which it
-meets by construction. PL takes its norms on the design times the power of
-two that puts max|X| in [0.5, 1), so at any scale of the design no square
-overflows, and only rows below about 1e-154 max|X| underflow; the rescale
-is exact on a normal-scale design, so there the probabilities keep their
-bits.
+norms of rows scaled column by column (U by ``s[-1] / s`` for IC, X by
+``2^-e`` for PL), the square roots of one ``einsum`` per block of
+``_ROW_BLOCK`` rows, each block scaled as one flat product: each row gets
+the bits of one call over all rows, and no n x p temporary is allocated.
+Each vector is normalized in its own memory, never in the kept leverage,
+and wrapped without the constructor's copy and checks, which it meets by
+construction. PL's ``2^-e`` puts max|X| in [0.5, 1), so at any scale of
+the design no square overflows, and only rows below about 1e-154 max|X|
+underflow; the product by a power of two is ``ldexp``'s, and exact on a
+normal-scale design, so there the probabilities keep their bits. Where
+``2^-e`` is no double (e < -1023, a design of subnormal scale), PL
+rescales the whole design by ``ldexp``, an n x p temporary.
 """
 
 from __future__ import annotations
@@ -124,7 +127,12 @@ def compute_probabilities(
 
     if scheme == "PL":
         exponent = pow2_exponent(data.design)
-        norms = np.sqrt(_squared_row_norms(data.design, lambda block: np.ldexp(block, -exponent)))
+        if exponent >= -1023:
+            squares = _squared_row_norms(data.design, 2.0**-exponent)
+        else:
+            # 2^-e overflows: a subnormal-scale design
+            squares = _squared_row_norms(np.ldexp(data.design, -exponent))
+        norms = np.sqrt(squares, out=squares)
         return _wrapped(_normalized(norms, "row-norm", out=norms), "PL")
 
     if scheme == "IC":
@@ -133,8 +141,7 @@ def compute_probabilities(
         # orthogonal, so the norms come straight from the scaled U rows. Scaling
         # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column
         # scale, and keeps each squared norm at most the row's leverage.
-        ratio = s[-1] / s
-        squares = _squared_row_norms(U, lambda block: block * ratio)
+        squares = _squared_row_norms(U, s[-1] / s)
         # all-zero rows would break the weighting later on
         reject_zero_rows(data.design, squares, s, "scheme IC")
         ic_raw = np.sqrt(squares, out=squares)

@@ -21,6 +21,7 @@ bit-identical no matter where or when it runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,21 @@ def _set_draw_arrays(target: SubsampleDraw, idx: np.ndarray, dp: np.ndarray) -> 
     object.__setattr__(target, "draw_probs", dp)
 
 
+def _small_threshold(n: int) -> float:
+    """The smallest double t with ``t * n >= 1.0`` in floating point.
+
+    ``fl(c n)`` never decreases in c, so ``p < t`` holds exactly where
+    ``p * n < 1.0``: a cell is small by the same test as Vose's loop, with
+    no n-length product. ``1.0 / n`` is at most a few steps from t.
+    """
+    t = 1.0 / n
+    while t * n < 1.0:
+        t = math.nextafter(t, math.inf)
+    while math.nextafter(t, 0.0) * n >= 1.0:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
 def _prefix_sums(p: np.ndarray):
     """The O(n) step that the whole alias table and the per-cell lookup share.
 
@@ -98,16 +114,23 @@ def _prefix_sums(p: np.ndarray):
       full up to rounding;
     * ``spent``: the large cells the loop spends; the last large cell
       never is, since the loop stops when it runs out.
+
+    No n-length ``n p`` is formed: the small cells are those below
+    ``_small_threshold(n)``, one byte a row, and each prefix sum scales its
+    own gather of p by n in place, the same product bit for bit. The
+    allocations come to 17 bytes a row: the mask, the two index vectors and
+    the two sums.
     """
     n = p.shape[0]
-    scaled = p * n
-    below = scaled < 1.0
-    small = np.flatnonzero(below)
-    large = np.flatnonzero(~below)
+    mask = p < _small_threshold(n)
+    small = np.flatnonzero(mask)
+    large = np.flatnonzero(np.logical_not(mask, out=mask))
     # in place, so each prefix sum takes one allocation, not three
-    deficit = scaled[small[::-1]]
+    deficit = p[small[::-1]]
+    deficit *= n
     np.cumsum(np.subtract(1.0, deficit, out=deficit), out=deficit)
-    excess = scaled[large[::-1]]
+    excess = p[large[::-1]]
+    excess *= n
     np.cumsum(np.subtract(excess, 1.0, out=excess), out=excess)
     short = int(np.searchsorted(excess, deficit[-1])) if small.size else 0
     if short < large.size:
@@ -119,7 +142,7 @@ def _prefix_sums(p: np.ndarray):
     else:
         filled = 0
     spent = min(short, max(large.size - 1, 0))
-    return scaled, small, large, deficit, excess, short, filled, spent
+    return small, large, deficit, excess, short, filled, spent
 
 
 def _is_constant(p: np.ndarray) -> bool:
@@ -142,7 +165,7 @@ def alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = p.shape[0]
     if _is_constant(p):
         return np.ones(n), np.arange(n, dtype=np.intp)
-    scaled, small, large, deficit, excess, short, filled, spent = _prefix_sums(p)
+    small, large, deficit, excess, short, filled, spent = _prefix_sums(p)
     small, large = small[::-1], large[::-1]
 
     covered = np.searchsorted(deficit, excess[:short], side="right")
@@ -151,7 +174,8 @@ def alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     owner = np.cumsum(np.bincount(covered + 1, minlength=small.size)[: small.size])
     # A small cell accepts its own mass, a large one 1 until it is spent.
     # Cells the loop leaves over are full up to rounding: accept 1, no alias.
-    accept = np.minimum(scaled, 1.0)
+    accept = np.multiply(p, n)
+    np.minimum(accept, 1.0, out=accept)
     accept[small[filled:]] = 1.0
     alias = np.arange(n, dtype=np.intp)
     alias[small[:filled]] = large[owner[:filled]]
@@ -175,19 +199,20 @@ def _alias_cells(probs: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.n
     p = np.asarray(probs, dtype=np.float64)
     if _is_constant(p):
         return np.ones(cells.shape[0]), cells
-    scaled, small, large, deficit, excess, short, filled, spent = _prefix_sums(p)
+    small, large, deficit, excess, short, filled, spent = _prefix_sums(p)
     # binary searches for sorted keys reuse the last bound: about 3x faster
     cells, inverse = np.unique(cells, return_inverse=True)
     accept = np.ones(cells.shape[0])
     alias = cells.copy()
-    is_small = scaled[cells] < 1.0
+    scaled = p[cells] * p.shape[0]
+    is_small = scaled < 1.0
 
     at = np.flatnonzero(is_small)
     k = small.size - 1 - np.searchsorted(small, cells[at])
     at, k = at[k < filled], k[k < filled]
     owner = np.minimum(short, np.searchsorted(excess, deficit[k - 1]))
     owner[k == 0] = 0
-    accept[at] = scaled[cells[at]]
+    accept[at] = scaled[at]
     alias[at] = large[large.size - 1 - owner]
 
     at = np.flatnonzero(~is_small)

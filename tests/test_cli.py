@@ -579,6 +579,8 @@ def test_simulate_t5_line_honors_beta0(capsys, tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--input", "/nonexistent.csv"], ["--response", "y"], ["--predictors", "x1"],
     ["--log-columns", "x1"], ["--drop-head-rows", "3"], ["--intercept"],
+    # an empty value is still a given flag
+    ["--input", ""], ["--response", ""], ["--predictors", ""], ["--log-columns", ""],
 ])
 def test_bench_synthetic_rejects_data_flags(capsys, flags):
     # once ignored, while the config echoed them
@@ -588,6 +590,14 @@ def test_bench_synthetic_rejects_data_flags(capsys, flags):
     ])
     assert code == 1 and out == ""
     assert f"input error: --synthetic takes no data flags, got {flags[0]}" in err
+
+
+@pytest.mark.parametrize("predictors", ["", ","])
+def test_fit_with_an_empty_predictor_list_is_an_input_error(capsys, line_csv, predictors):
+    # once fit every column but the response while echoing "predictors": ""
+    code, out, err = _run(capsys, ["fit", "--input", line_csv, "--response", "y", "--predictors", predictors])
+    assert code == 1 and out == ""
+    assert "input error: --predictors must name at least one column" in err
 
 
 def test_bench_with_no_methods_is_an_input_error(capsys):

@@ -165,12 +165,25 @@ def test_blocked_row_norms_have_the_bits_of_one_norm_call(offset, p):
     X = np.random.default_rng(p).standard_t(5, size=(n, p))
     scale = np.linspace(0.5, 2.0, p)
     np.testing.assert_array_equal(
-        core._squared_row_norms(X, lambda block: block * scale),
+        core._squared_row_norms(X, scale),
         np.einsum("ij,ij->i", X * scale, X * scale),
     )
     data = Dataset(design=X, response=np.zeros(n))
     np.testing.assert_array_equal(compute_probabilities(data, "IC").probs, _ic_reference(data))
     np.testing.assert_array_equal(compute_probabilities(data, "PL").probs, _pl_reference(data))
+
+
+@pytest.mark.parametrize("power", [-1060, 1020])
+def test_pl_at_the_scale_extremes_has_the_bits_of_the_ldexp_rescaled_rows(power):
+    # at 2^-1060 the rescale 2^-e is no double, so the design is rescaled by
+    # ldexp; at 2^1020 it is the subnormal 2^-1024, a product like any other
+    base = np.random.default_rng(13).standard_t(5, size=(core._ROW_BLOCK + 1, 4))
+    X = np.ldexp(base / np.abs(base).max() * 8.0, power)
+    e = core.pow2_exponent(X)
+    assert e == power + 4
+    rescaled = Dataset(design=np.ldexp(X, -e), response=np.zeros(X.shape[0]))
+    got = compute_probabilities(Dataset(design=X, response=np.zeros(X.shape[0])), "PL").probs
+    np.testing.assert_array_equal(got, _pl_reference(rescaled))
 
 
 def _traced_peak(data, scheme):

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,8 @@ from sublsq.sampler import (
     CELL_LOOKUP_MIN_ROWS_PER_DRAW,
     SubsampleDraw,
     _alias_cells,
+    _prefix_sums,
+    _small_threshold,
     alias_table,
 )
 
@@ -195,6 +200,63 @@ def test_alias_cells_without_small_or_large_cells(probs):
     p = np.array(probs)
     ProbabilityVector(p, "RAND")
     _assert_cells_match_the_table(p)
+
+
+def _neighbours(c):
+    return (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 4096, 99991, 500_000, 2**20, 3 * 10**6])
+def test_small_threshold_splits_cells_as_the_scaled_vector_does(n):
+    t = _small_threshold(n)
+    # the smallest double whose product with n reaches 1
+    assert t * n >= 1.0 and math.nextafter(t, 0.0) * n < 1.0
+    c = np.array(_neighbours(t) + _neighbours(1.0 / n))
+    assert np.array_equal(c < t, c * n < 1.0)
+
+
+def _scaled_prefix_sums(p):
+    """Reference: the prefix sums as first built, from the scaled vector ``p * n``."""
+    scaled = p * p.shape[0]
+    below = scaled < 1.0
+    small, large = np.flatnonzero(below), np.flatnonzero(~below)
+    deficit = np.cumsum(1.0 - scaled[small[::-1]])
+    excess = np.cumsum(scaled[large[::-1]] - 1.0)
+    short = int(np.searchsorted(excess, deficit[-1])) if small.size else 0
+    if short < large.size:
+        filled = small.size
+    elif large.size:
+        filled = int(np.searchsorted(deficit, excess[-1], side="right")) + 1
+    else:
+        filled = 0
+    return small, large, deficit, excess, short, filled, min(short, max(large.size - 1, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 99991])
+@pytest.mark.parametrize("kind", KINDS)
+def test_prefix_sums_equal_those_of_the_scaled_vector(kind, n):
+    w = _weights(kind, n, np.random.default_rng(n))
+    p = w / w.sum()
+    assert np.array_equal(p < _small_threshold(n), p * n < 1.0)
+    for got, ref in zip(_prefix_sums(p), _scaled_prefix_sums(p), strict=True):
+        assert np.array_equal(got, ref)
+
+
+def test_cell_lookup_allocates_under_18_bytes_a_row():
+    # the mask (1 byte a row), the small and large cells and the two prefix
+    # sums (8 bytes a row each pair), and nothing n long beside them
+    n, r = 200_000, 1_000
+    rng = np.random.default_rng(11)
+    w = _weights("dirichlet", n, rng)
+    p = w / w.sum()
+    cells = rng.integers(0, n, size=r)
+    tracemalloc.start()
+    try:
+        _alias_cells(p, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * n
 
 
 def _table_draw(pv, r, seed):
