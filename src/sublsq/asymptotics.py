@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymptoticVariance:
     """A p x p asymptotic covariance matrix with its inputs."""
 

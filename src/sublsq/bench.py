@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, ols_fit, one_of, subset_size
-from .errors import SubLsqError, ValidationError
-from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_quota, iboss_select
+from .errors import NumericalError, ValidationError
+from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_select
 from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities, slev_alpha
 from .rng import SeedLike, derive_rng
 from .sampler import alias_table_of, draw, subsample_estimate
-from .volume import check_enumerable, volume_sample
+from .volume import volume_sample
 
 DESIGN_FAMILIES = ("gaussian", "student_t", "t5_line")
 
@@ -45,15 +45,8 @@ SELECTIONS = {
 }
 REGISTERED_METHODS = ("OLS",) + SCHEMES + tuple(SELECTIONS)
 
-# Rules a method breaks on every replicate alike, since bootstrap samples keep
-# the input's n and p: (n, p, r) -> None, or the method's ValidationError.
-_UP_FRONT_RULES = {
-    "IBOSS": lambda n, p, r: iboss_quota(r, p),
-    "VOL": lambda n, p, r: check_enumerable(n),
-}
-
 # What fails one estimate on its bootstrap sample, not the whole run.
-_FAILURES = (SubLsqError, np.linalg.LinAlgError)
+_FAILURES = (NumericalError, np.linalg.LinAlgError)
 
 DEFAULT_REPS = 100
 DEFAULT_R_MULTIPLES = (5, 10, 15, 20)
@@ -191,7 +184,8 @@ def _method_cells(
     table, or the full fit) is built once for every r; if that raises,
     every r fails. Its time is added to each r's own draw and fit, so a
     cell's time is that of one estimate from scratch. The draw at r is
-    keyed by ``seed_key + (r,)``.
+    keyed by ``seed_key + (r,)``. A ValidationError at one r is raised
+    again naming the method and r.
     """
     t0 = time.perf_counter()
     try:
@@ -226,6 +220,8 @@ def _method_cells(
             diff = estimate(r, seed_key + (r,)) - beta_full
             with np.errstate(over="ignore", invalid="ignore"):
                 sq = float(diff @ diff)
+        except ValidationError as exc:
+            raise type(exc)(f"method {method} cannot run at r={r}: {exc}") from None
         except _FAILURES:
             sq = math.nan
         # an overflowing squared error fails the replicate, as a raise does
@@ -250,25 +246,23 @@ def run_emse(
     sample alone once, and draws every r from it (see ``_method_cells``).
     Replicates are embarrassingly parallel; pass ``workers > 1`` to spread
     them over threads. The report is identical for any worker count.
-    A method and r that break a rule every replicate would break (IBOSS
-    at an r that 2p does not divide, VOL beyond the enumeration cap) raise
-    before any replicate runs, instead of failing every replicate, and
-    so do empty ``methods`` or ``r_values``.
+    Only numerical failures count per replicate: an input error a method
+    raises at one r (IBOSS at an r that 2p does not divide, VOL beyond the
+    enumeration cap, r above n) stops the run, naming the method and r, as
+    every bootstrap sample keeps the input's n and p. Empty or repeated
+    ``methods`` or ``r_values`` raise before any replicate runs.
     """
     methods = tuple(one_of(m.upper(), REGISTERED_METHODS, "method") for m in methods)
     r_values = tuple(subset_size(r, data.p) for r in r_values)
-    if not methods or not r_values:
-        raise ValidationError(f"{'r_values' if methods else 'methods'} must not be empty")
+    for what, values in (("methods", methods), ("r_values", r_values)):
+        if not values:
+            raise ValidationError(f"{what} must not be empty")
+        if len(set(values)) < len(values):
+            raise ValidationError(f"{what} must not repeat, got {', '.join(map(str, values))}")
     reps = subset_size(reps, 1, what="reps")
     workers = subset_size(workers, 1, what="workers")
     alpha = slev_alpha(alpha)
     one_of(criterion, CRITERIA, "criterion")
-    for method in (m for m in methods if m in _UP_FRONT_RULES):
-        for r in r_values:
-            try:
-                _UP_FRONT_RULES[method](data.n, data.p, r)
-            except ValidationError as exc:
-                raise type(exc)(f"method {method} cannot run at r={r}: {exc}") from None
 
     beta_full = ols_fit(data).beta
     n = data.n

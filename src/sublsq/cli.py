@@ -37,7 +37,7 @@ from .core import Dataset, ols_fit
 from .errors import NumericalError, ValidationError
 from .optdesign import CRITERIA, SubsetSelection
 from .probs import SCHEMES, compute_probabilities
-from .sampler import draw, subsample_estimate
+from .sampler import MODES, draw, subsample_estimate
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 12345
@@ -276,6 +276,14 @@ def _data_flags() -> argparse.ArgumentParser:
     return data
 
 
+def _synthetic_flags() -> argparse.ArgumentParser:
+    """The flags `bench --synthetic` reads in place of the data flags, as a parent parser."""
+    synthetic = argparse.ArgumentParser(add_help=False)
+    synthetic.add_argument("--synthetic", choices=("t5_line",), help="use built-in synthetic data instead of --input")
+    synthetic.add_argument("--n", type=int, default=1000, help="synthetic sample size")
+    return synthetic
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sublsq",
@@ -302,16 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     command("fit", _run_fit, "full ordinary least squares", data)
     command("probs", _run_probs, "per-row sampling probabilities", data, scheme)
     sp = command("subsample", _run_subsample, "one draw plus its estimate", data, scheme, size, seed)
-    sp.add_argument("--mode", choices=("plain", "weighted"), default="weighted")
+    sp.add_argument("--mode", choices=MODES, default="weighted")
     sp = command("select", _run_select, "deterministic or volume subset selection", data, criterion, size, seed)
     sp.add_argument("--method", required=True, choices=tuple(_SELECT_METHODS))
     sp = command("amse", _run_amse, "asymptotic variance and trace-AMSE", data, scheme, size)
     sp.add_argument("--sigma2", type=float, default=None, help="noise variance (default: estimated)")
 
-    sp = command("bench", _run_bench, "bootstrap EMSE benchmark", data, seed, criterion)
-    sp.add_argument("--synthetic", choices=("t5_line",), help="use built-in synthetic data instead of --input")
-    sp.add_argument("--n", type=int, default=1000, help="synthetic sample size")
-    sp.add_argument("--methods", default="RAND,BLEV,SLEV,IC,RL,PL")
+    sp = command("bench", _run_bench, "bootstrap EMSE benchmark", data, seed, criterion, _synthetic_flags())
+    sp.add_argument("--methods", default=",".join(SCHEMES))
     sp.add_argument("--r", help="comma-separated subsample sizes (default 5p,10p,15p,20p)")
     sp.add_argument("--reps", type=int, default=bench_mod.DEFAULT_REPS)
     sp.add_argument("--alpha", type=float, default=None)
@@ -416,16 +422,16 @@ def _render_table(report) -> str:
 
 
 def _run_bench(args):
+    # a flag is given wherever it is off its default, even at an empty value
+    unread = vars((_data_flags() if args.synthetic else _synthetic_flags()).parse_args([]))
+    stray = ", ".join(f"--{dest.replace('_', '-')}" for dest, value in unread.items() if getattr(args, dest) != value)
     if args.synthetic:
-        # a flag is given wherever it is off its default, even at an empty value
-        defaults = vars(_data_flags().parse_args([]))
-        stray = [
-            f"--{dest.replace('_', '-')}" for dest, value in defaults.items() if getattr(args, dest) != value
-        ]
         if stray:
-            raise ValidationError(f"--synthetic takes no data flags, got {', '.join(stray)}")
+            raise ValidationError(f"--synthetic takes no data flags, got {stray}")
         data = bench_mod.generate_synthetic(bench_mod.t5_line_spec(n=args.n), args.seed)
     else:
+        if stray:
+            raise ValidationError(f"{stray} needs --synthetic")
         data = _load_dataset(args, need_response=True)
     methods = _split_list(args.methods)
     r_values = _number_list(args.r, "--r", int) if args.r is not None else bench_mod.default_r_grid(data.p)

@@ -103,7 +103,7 @@ def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An n x p design matrix paired with an n-vector of responses.
 
@@ -146,7 +146,7 @@ class Dataset:
         return sub
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateResult:
     """A fitted coefficient vector with fit diagnostics.
 

@@ -70,7 +70,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _SWAP_BLOCK = 1 << 20  # closed-form swap keys scored at once, 8 MB per temporary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetSelection:
     """A set of distinct row indices with the criterion value it achieves."""
 
@@ -284,24 +284,19 @@ def criterion_value(data: Dataset, indices, criterion: str) -> float:
     return _subset_value(data, _check_indices(data, indices), criterion)
 
 
-def iboss_quota(r: int, p: int) -> int:
-    """Rows IBOSS takes from each end of each of p columns, r/(2p);
-    ValidationError unless r is a positive multiple of 2p."""
-    if r < 2 * p or r % (2 * p) != 0:
-        raise ValidationError(f"r must be a positive multiple of 2p={2 * p}, got {r}")
-    return r // (2 * p)
-
-
 def iboss_select(data: Dataset, r: int) -> SubsetSelection:
     """Select the per-column extreme rows, a fixed quota per column.
 
     Columns are processed left to right; each takes the r/(2p) smallest
     and r/(2p) largest not-yet-selected values, ties toward the lowest
     row index. Reported ``value`` is the D-criterion of the result.
+    ValidationError unless r is a positive multiple of 2p.
     """
     n, p = data.n, data.p
     r = subset_size(r, 1, n)
-    quota = iboss_quota(r, p)
+    if r % (2 * p) != 0:
+        raise ValidationError(f"r must be a positive multiple of 2p={2 * p}, got {r}")
+    quota = r // (2 * p)
 
     selected = np.zeros(n, dtype=bool)
     for j in range(p):

@@ -49,7 +49,7 @@ DEFAULT_SLEV_ALPHA = 0.9
 __all__ = ["SCHEMES", "DEFAULT_SLEV_ALPHA", "ProbabilityVector", "compute_probabilities"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityVector:
     """A vector on the probability simplex tagged with its scheme.
 

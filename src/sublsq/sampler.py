@@ -42,7 +42,7 @@ CELL_LOOKUP_MIN_ROWS = 4_096
 CELL_LOOKUP_MIN_ROWS_PER_DRAW = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsampleDraw:
     """An ordered with-replacement draw of row indices.
 

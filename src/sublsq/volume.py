@@ -53,7 +53,7 @@ _BLOCK = 1 << 20  # index-gathered floats per block, 8 MB, as optdesign._SWAP_BL
 _REJECTION_PROPOSAL_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetDistribution:
     """An explicit distribution over index subsets (or sequences).
 
@@ -114,14 +114,6 @@ def _leveraged_proposal(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return np.where(live, q, 0.0), np.divide(1.0, q, out=np.zeros_like(q), where=live)
 
 
-def check_enumerable(n: int) -> None:
-    """CapacityError unless the subsets of n rows are few enough to enumerate."""
-    if n > ENUMERATION_MAX_N:
-        raise CapacityError(
-            f"subset enumeration is capped at n={ENUMERATION_MAX_N}, got n={n}"
-        )
-
-
 def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     """Enumerate the exact subset distribution with determinant masses.
 
@@ -132,7 +124,8 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     formed from log-determinants, and no scale of the design reaches them.
     """
     n, p = data.n, data.p
-    check_enumerable(n)
+    if n > ENUMERATION_MAX_N:
+        raise CapacityError(f"subset enumeration is capped at n={ENUMERATION_MAX_N}, got n={n}")
     r = subset_size(r, p, n)
     U = full_rank_svd(data, "standard volume sampling")[0]
 

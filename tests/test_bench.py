@@ -222,6 +222,27 @@ def test_run_emse_rejects_an_empty_method_or_size_list(methods, r_values, name):
         run_emse(data, methods, r_values, reps=2, seed=0)
 
 
+@pytest.mark.parametrize("methods, r_values, name", [
+    (["RAND", "rand"], [10], "methods"), (["RAND"], [10, np.int64(10)], "r_values"),
+])
+def test_run_emse_rejects_a_repeated_method_or_size(methods, r_values, name):
+    # once ran the repeat again and reported it twice
+    data = generate_synthetic(heavy_tailed_spec(50), 17)
+    with pytest.raises(ValidationError, match=f"^{name} must not repeat"):
+        run_emse(data, methods, r_values, reps=2, seed=0)
+
+
+@pytest.mark.parametrize("method", ["GREEDY", "EXCHANGE"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_method_input_error_stops_the_run_naming_method_and_r(method, workers):
+    # r above n once counted as a failed replicate of every cell
+    data = generate_synthetic(heavy_tailed_spec(50), 8)
+    r = data.n + 10
+    match = f"^method {method} cannot run at r={r}: subset size r={r} exceeds n={data.n}$"
+    with pytest.raises(ValidationError, match=match):
+        run_emse(data, [method, "RAND"], [8, r], reps=3, seed=9, workers=workers)
+
+
 def test_registered_methods_keep_their_names_and_order():
     assert REGISTERED_METHODS == (
         "OLS", "RAND", "BLEV", "SLEV", "IC", "RL", "PL",

@@ -592,6 +592,18 @@ def test_bench_synthetic_rejects_data_flags(capsys, flags):
     assert f"input error: --synthetic takes no data flags, got {flags[0]}" in err
 
 
+def test_bench_from_a_csv_rejects_the_synthetic_sample_size(capsys, tmp_path):
+    # --n was once ignored, while the config echoed it
+    path = str(tmp_path / "sim.csv")
+    assert _run(capsys, ["simulate", "--n", "300", "--output", path])[0] == 0
+    argv = ["bench", "--input", path, "--response", "y", "--reps", "2", "--methods", "RAND", "--r", "10"]
+    code, out, err = _run(capsys, [*argv, "--n", "5"])
+    assert code == 1 and out == ""
+    assert "input error: --n needs --synthetic" in err
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and json.loads(out)["config"]["n"] == 1000
+
+
 @pytest.mark.parametrize("predictors", ["", ","])
 def test_fit_with_an_empty_predictor_list_is_an_input_error(capsys, line_csv, predictors):
     # once fit every column but the response while echoing "predictors": ""

@@ -1,3 +1,4 @@
+import copy
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -180,6 +181,27 @@ def test_results_are_frozen(line_dataset):
         fit.beta[0] = 99.0
     with pytest.raises(ValueError):
         line_dataset.design[0, 0] = 99.0
+
+
+def test_array_holding_results_compare_and_hash_by_identity(line_dataset):
+    # a generated __eq__ once compared their arrays, raising numpy's ValueError,
+    # and a generated __hash__ raised TypeError
+    data = line_dataset
+    pv = compute_probabilities(data, "BLEV")
+    results = (
+        data,
+        ols_fit(data),
+        pv,
+        draw(pv, 3, 0),
+        greedy_select(data, 2, "D"),
+        standard_volume_distribution(data, 2),
+        avar_matrix(data, pv, 3, 1.0),
+    )
+    assert Dataset(data.design, data.response) != data
+    for obj in results:
+        assert obj == obj and obj in [obj]
+        assert obj not in [copy.copy(obj)]
+        assert hash(obj) == hash(obj)
 
 
 def _student_t(seed, n, p):
