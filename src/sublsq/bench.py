@@ -92,8 +92,8 @@ class SyntheticSpec:
         if not self.noise_sd >= 0:
             raise ValidationError("noise_sd must be nonnegative")
         if self.design_family == "student_t":
-            if self.df is None or not self.df > 2:
-                raise ValidationError("student_t needs df > 2")
+            if self.df is None or not 2 < self.df < np.inf:
+                raise ValidationError(f"student_t needs a finite df > 2, got {self.df}")
         elif self.df is not None:
             raise ValidationError(f"df is only meaningful for student_t, got {self.df}")
         if self.design_family == "t5_line" and self.p != 2:
@@ -115,9 +115,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: SeedLike) -> Dataset:
         design = rng.standard_t(spec.df, size=(spec.n, spec.p))
     else:
         design = np.column_stack([np.ones(spec.n), rng.standard_t(5.0, size=spec.n)])
-    response = design @ np.asarray(spec.beta0, dtype=np.float64)
-    if spec.noise_sd > 0:
-        response = response + spec.noise_sd * rng.standard_normal(spec.n)
+    # an overflow here leaves an inf that the Dataset rejects as an input error
+    with np.errstate(over="ignore", invalid="ignore"):
+        response = design @ np.asarray(spec.beta0, dtype=np.float64)
+        if spec.noise_sd > 0:
+            response = response + spec.noise_sd * rng.standard_normal(spec.n)
     return Dataset(design=design, response=response)
 
 

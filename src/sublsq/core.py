@@ -75,8 +75,16 @@ def subset_size(r, low: int, high: float = np.inf, what: str = "subset size r") 
 
 
 def pow2_exponent(a: np.ndarray) -> int:
-    """The exponent e that puts ``max|a| * 2^-e`` in [0.5, 1); 0 where ``a`` is all zero."""
-    return math.frexp(max(float(a.max()), -float(a.min())))[1]
+    """The exponent e that puts ``max|a| * 2^-e`` in [0.5, 1); 0 where ``a`` is all zero.
+
+    Taken over blocks of ``_ROW_BLOCK`` rows, so that a tall ``a`` is read
+    from memory once: the min of a block reads it from cache after its max.
+    """
+    hi = lo = 0.0
+    for start in range(0, a.shape[0], _ROW_BLOCK):
+        block = a[start : start + _ROW_BLOCK]
+        hi, lo = max(hi, float(block.max())), min(lo, float(block.min()))
+    return math.frexp(max(hi, -lo))[1]
 
 
 def row_indices(indices, n: float = np.inf, distinct: bool = False) -> np.ndarray:

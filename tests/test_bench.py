@@ -1,4 +1,5 @@
 import hashlib
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +42,9 @@ def test_synthetic_spec_validation():
         SyntheticSpec(n=10, p=2, design_family="cauchy", beta0=(1, 1), noise_sd=1)
     with pytest.raises(ValidationError):
         SyntheticSpec(n=10, p=2, design_family="student_t", beta0=(1, 1), noise_sd=1, df=2)
+    for df in (math.inf, math.nan):  # standard_t(inf) draws NaN
+        with pytest.raises(ValidationError, match="finite df > 2"):
+            SyntheticSpec(n=10, p=2, design_family="student_t", beta0=(1, 1), noise_sd=1, df=df)
     with pytest.raises(ValidationError):
         SyntheticSpec(n=10, p=2, design_family="gaussian", beta0=(1, 1), noise_sd=1, df=5)
     with pytest.raises(ValidationError):

@@ -637,3 +637,27 @@ def test_simulate_with_an_empty_beta0_is_an_input_error(capsys, tmp_path):
     assert code == 1 and out == ""
     assert "input error: beta0 must have length p=3" in err
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("df", ["inf", "nan"])
+def test_simulate_student_t_with_a_non_finite_df_names_the_df(capsys, tmp_path, df):
+    # standard_t(inf) draws NaN, which was once reported as a NaN design
+    csv_path = tmp_path / "sim.csv"
+    code, out, err = _run(capsys, [
+        "simulate", "--family", "student_t", "--df", df, "--n", "20", "--p", "2", "--output", str(csv_path),
+    ])
+    assert code == 1 and out == ""
+    assert f"input error: student_t needs a finite df > 2, got {df}" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("flags", [["--beta0", "1e308,1e308"], ["--noise-sd", "1e308"]])
+def test_simulate_overflow_raises_no_runtime_warning(capsys, tmp_path, recwarn, flags):
+    # numpy once printed an overflow warning, with a source line, before the error message
+    csv_path = tmp_path / "sim.csv"
+    code, out, err = _run(capsys, [
+        "simulate", "--family", "gaussian", "--n", "100", "--p", "2", *flags, "--output", str(csv_path),
+    ])
+    assert code == 1 and out == ""
+    assert "input error: response contains NaN or Inf entries" in err
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []

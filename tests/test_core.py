@@ -1,4 +1,5 @@
 import copy
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,7 @@ from sublsq.optdesign import SubsetSelection, criterion_value
 from sublsq.probs import ProbabilityVector
 from sublsq.sampler import SubsampleDraw, alias_table_of
 from sublsq.bench import SyntheticSpec, generate_synthetic
+from sublsq.core import _ROW_BLOCK, pow2_exponent
 
 from conftest import gaussian_dataset
 
@@ -592,3 +594,13 @@ def test_value_types_own_their_arrays():
     probs[0] = 1.0
     assert np.array_equal(ols_fit(data).beta, beta)
     assert np.array_equal(draw(pv, 8, 5).indices, picked)
+
+
+@pytest.mark.parametrize("row", [0, _ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 5])
+@pytest.mark.parametrize("extreme", [-3.0, 3.0])
+def test_pow2_exponent_finds_the_extreme_in_any_block(row, extreme):
+    X = np.full((2 * _ROW_BLOCK + 7, 3), 0.25)
+    X[::2] = -0.0
+    X[row, 1] = extreme
+    assert pow2_exponent(X) == 2 == math.frexp(np.abs(X).max())[1]
+    assert pow2_exponent(np.zeros((5, 2))) == pow2_exponent(np.full((5, 2), -0.0)) == 0

@@ -161,6 +161,64 @@ def test_iboss_validation():
         iboss_select(d, 1)
 
 
+def _iboss_argsort(X, r):
+    """The stable-argsort loop iboss_select once ran: for each (column, sign),
+    sort the rows not yet taken and take the first quota."""
+    n, p = X.shape
+    quota = r // (2 * p)
+    selected = np.zeros(n, dtype=bool)
+    for j in range(p):
+        for sign in (1.0, -1.0):
+            pool = np.flatnonzero(~selected)
+            take = pool[np.argsort(sign * X[pool, j], kind="stable")[:quota]]
+            selected[take] = True
+    return np.flatnonzero(selected)
+
+
+def test_iboss_treats_signed_zeros_as_equal():
+    # -0.0 == 0.0: each side takes its extreme, then the lowest-index zero,
+    # whatever the sign bit
+    d = _design([[0.0], [-0.0], [3.0], [-0.0], [0.0], [-2.0]])
+    assert iboss_select(d, 4).indices.tolist() == [0, 1, 2, 5]
+
+
+def test_iboss_constant_column_takes_the_lowest_rows():
+    X = np.column_stack([np.ones(40), np.random.default_rng(3).standard_normal(40)])
+    sel = iboss_select(_design(X), 8)
+    assert sel.indices[:4].tolist() == [0, 1, 2, 3]
+    assert sel.indices.tolist() == _iboss_oracle(X, 8)
+
+
+def test_iboss_takes_every_row_at_r_equal_to_n():
+    X = np.random.default_rng(5).integers(-2, 3, size=(12, 3)).astype(float)
+    sel = iboss_select(_design(X), 12)
+    assert sel.indices.tolist() == list(range(12))
+    assert sel.value == criterion_value(_design(X), range(12), "D")
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 3), quota=st.integers(1, 4), extra=st.integers(0, 12), data=st.data())
+def test_iboss_matches_the_oracle_on_repeated_values(p, quota, extra, data):
+    n, r = 2 * p * quota + extra, 2 * p * quota
+    values = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0])
+    X = np.array(data.draw(st.lists(values, min_size=n * p, max_size=n * p))).reshape(n, p)
+    try:
+        picks = iboss_select(_design(X), r).indices.tolist()
+    except SingularSubsetError:
+        return  # the picks exist, but their Gram matrix has no D value
+    assert picks == _iboss_oracle(X, r)
+
+
+def test_iboss_matches_the_argsort_loop_at_scale():
+    # one decimal on a t(5) design: about 200 distinct values per column, so ties are common
+    X = np.round(np.random.default_rng(8).standard_t(5, (200_000, 5)), 1)
+    data = _design(X)
+    sel = iboss_select(data, 1000)
+    reference = _iboss_argsort(X, 1000)
+    assert np.array_equal(sel.indices, reference)
+    assert sel.value == criterion_value(data, reference, "D")
+
+
 def test_greedy_univariate_example():
     d = _design([[1.0], [2.0], [3.0]])
     sel = greedy_select(d, 2, "D")
