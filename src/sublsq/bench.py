@@ -31,17 +31,22 @@ from .volume import volume_sample
 
 DESIGN_FAMILIES = ("gaussian", "student_t", "t5_line")
 
-# Subset selection methods: name -> (data, r, seed, criterion) -> a SubsetSelection,
-# or for volume sampling an index array. Entries look their function up at call
-# time, so wrappers installed on this module see the calls.
+
+def _fields(picked, *names) -> dict:
+    return {name: getattr(picked, name) for name in ("indices", "value", *names)}
+
+
+# Subset selection methods: name -> (data, r, seed, criterion) -> output fields: the
+# rows under "indices", then a SubsetSelection's value (and criterion). Entries look
+# their function up at call time, so wrappers installed on this module see the calls.
 SELECTIONS = {
-    "IBOSS": lambda data, r, seed, criterion: iboss_select(data, r),
-    "GREEDY": lambda data, r, seed, criterion: greedy_select(data, r, criterion),
-    "EXCHANGE": lambda data, r, seed, criterion: exchange_improve(
-        data, greedy_select(data, r, criterion)
+    "IBOSS": lambda data, r, seed, criterion: _fields(iboss_select(data, r)),
+    "GREEDY": lambda data, r, seed, criterion: _fields(greedy_select(data, r, criterion), "criterion"),
+    "EXCHANGE": lambda data, r, seed, criterion: _fields(
+        exchange_improve(data, greedy_select(data, r, criterion)), "criterion"
     ),
-    "VOL": lambda data, r, seed, criterion: volume_sample(data, r, "standard", seed),
-    "LEVVOL": lambda data, r, seed, criterion: volume_sample(data, r, "leveraged", seed),
+    "VOL": lambda data, r, seed, criterion: {"indices": volume_sample(data, r, "standard", seed)},
+    "LEVVOL": lambda data, r, seed, criterion: {"indices": volume_sample(data, r, "leveraged", seed)},
 }
 REGISTERED_METHODS = ("OLS",) + SCHEMES + tuple(SELECTIONS)
 
@@ -134,8 +139,8 @@ class BenchRecord:
     ``mean_time_ms`` is the mean over the successful replicates (NaN if
     none succeeded) of the time of one estimate from scratch: what the
     method builds once per bootstrap sample for every r (a scheme's
-    probabilities and alias table, the full fit) plus this r's own draw
-    and fit, or its selection and fit.
+    probabilities and, for several r, alias table; the full fit) plus this
+    r's own draw and fit, or its selection and fit.
     """
 
     method: str
@@ -170,6 +175,36 @@ def dataset_fingerprint(data: Dataset) -> str:
     return h.hexdigest()
 
 
+def _prepared(method: str, data: Dataset, alpha, criterion, mode, draws: int):
+    """Builds what ``method`` needs of ``data`` alone once: a scheme's probabilities
+    (and alias table, kept where ``draws > 1``) or the full OLS fit. Returns
+    ``pick(r, key) -> (fields, fit)``: the output fields at r, rows under
+    ``"indices"``, and a no-argument fit of them. A scheme draws with ``key``
+    and fits in ``mode`` (None: plain on RAND, else weighted); a selection is
+    seeded with ``key`` and fit by OLS on its rows.
+    """
+    if method == "OLS":
+        fit = ols_fit(data)
+        return lambda r, key: ({}, lambda: fit)
+    if method in SELECTIONS:
+        def pick(r, key):
+            fields = SELECTIONS[method](data, r, key, criterion)
+            return fields, lambda: ols_fit(data.take_rows(fields["indices"]))
+
+        return pick
+    pv = compute_probabilities(data, method, alpha)
+    if draws > 1:
+        alias_table_of(pv)
+    mode = mode or ("plain" if pv.scheme == "RAND" else "weighted")
+
+    def pick(r, key):
+        d = draw(pv, r, key)
+        fields = {"scheme": pv.scheme, "mode": mode, "indices": d.indices, "draw_probs": d.draw_probs}
+        return fields, lambda: subsample_estimate(data, d, mode)
+
+    return pick
+
+
 def _method_cells(
     method: str,
     sample: Dataset,
@@ -179,38 +214,17 @@ def _method_cells(
     alpha: float,
     criterion: str,
 ) -> list:
-    """One method on one bootstrap sample at every r: per r, (squared error
-    against ``beta_full``, milliseconds), or None where the estimate failed.
+    """One method on one bootstrap sample at every r: per r, (squared error against
+    ``beta_full``, milliseconds), or None where the estimate failed.
 
-    What depends on the sample alone (a scheme's probabilities and alias
-    table, or the full fit) is built once for every r; if that raises,
-    every r fails. Its time is added to each r's own draw and fit, so a
-    cell's time is that of one estimate from scratch. The draw at r is
-    keyed by ``seed_key + (r,)``. A ValidationError at one r is raised
-    again naming the method and r.
+    ``_prepared`` builds what depends on the sample alone, once for every r; if that
+    raises, every r fails. Its time is added to each r's own pick and fit, keyed by
+    ``seed_key + (r,)``, so a cell's time is that of one estimate from scratch. A
+    ValidationError at one r is raised again naming the method and r.
     """
     t0 = time.perf_counter()
     try:
-        if method == "OLS":
-            beta = ols_fit(sample).beta
-
-            def estimate(r, key):
-                return beta
-
-        elif method in SCHEMES:
-            pv = compute_probabilities(sample, method, alpha if method == "SLEV" else None)
-            alias_table_of(pv)  # built here, once for every r
-            mode = "plain" if method == "RAND" else "weighted"
-
-            def estimate(r, key):
-                return subsample_estimate(sample, draw(pv, r, key), mode).beta
-
-        else:
-
-            def estimate(r, key):
-                picked = SELECTIONS[method](sample, r, key, criterion)
-                return ols_fit(sample.take_rows(getattr(picked, "indices", picked))).beta
-
+        pick = _prepared(method, sample, alpha if method == "SLEV" else None, criterion, None, len(r_values))
     except _FAILURES:
         return [None] * len(r_values)
     shared = time.perf_counter() - t0
@@ -219,7 +233,7 @@ def _method_cells(
     for r in r_values:
         t0 = time.perf_counter()
         try:
-            diff = estimate(r, seed_key + (r,)) - beta_full
+            diff = pick(r, seed_key + (r,))[1]().beta - beta_full
             with np.errstate(over="ignore", invalid="ignore"):
                 sq = float(diff @ diff)
         except ValidationError as exc:
@@ -244,8 +258,8 @@ def run_emse(
 ) -> BenchmarkReport:
     """Bootstrap-replicate EMSE of each method at each subsample size.
 
-    Per replicate, each method builds what depends on the bootstrap
-    sample alone once, and draws every r from it (see ``_method_cells``).
+    Per replicate, each method's ``_prepared`` entry builds what depends
+    on the bootstrap sample alone once, and every r picks and fits from it.
     Replicates are embarrassingly parallel; pass ``workers > 1`` to spread
     them over threads. The report is identical for any worker count.
     Only numerical failures count per replicate: an input error a method

@@ -33,11 +33,11 @@ from .asymptotics import (
     sigma2_estimate,
     trace_amse,
 )
-from .core import Dataset, ols_fit
+from .core import Dataset, ols_fit, one_of
 from .errors import NumericalError, ValidationError
-from .optdesign import CRITERIA, SubsetSelection
+from .optdesign import CRITERIA
 from .probs import SCHEMES, compute_probabilities
-from .sampler import MODES, draw, subsample_estimate
+from .sampler import MODES
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 12345
@@ -363,30 +363,16 @@ def _run_probs(args):
 
 def _run_subsample(args):
     data = _load_dataset(args, need_response=True)
-    pv = compute_probabilities(data, args.scheme, args.alpha)
-    d = draw(pv, args.r, args.seed)
-    est = subsample_estimate(data, d, args.mode)
-    return {
-        "scheme": pv.scheme,
-        "mode": args.mode,
-        "indices": d.indices,
-        "draw_probs": d.draw_probs,
-        "beta": est.beta,
-        "rank": est.rank,
-        "residual_ss": est.residual_ss,
-    }, None
+    scheme = one_of(args.scheme.upper(), SCHEMES, "scheme")
+    fields, fit = bench_mod._prepared(scheme, data, args.alpha, None, args.mode, 1)(args.r, args.seed)
+    est = fit()
+    return {**fields, "beta": est.beta, "rank": est.rank, "residual_ss": est.residual_ss}, None
 
 
 def _run_select(args):
     data = _load_dataset(args, need_response=False)
     select = bench_mod.SELECTIONS[_SELECT_METHODS[args.method]]
-    picked = select(data, args.r, args.seed, args.criterion)
-    if not isinstance(picked, SubsetSelection):
-        return {"method": args.method, "indices": picked}, None
-    out = {"method": args.method, "indices": picked.indices, "value": picked.value}
-    if picked.criterion in CRITERIA:
-        out["criterion"] = picked.criterion
-    return out, None
+    return {"method": args.method, **select(data, args.r, args.seed, args.criterion)}, None
 
 
 def _run_amse(args):
@@ -492,6 +478,28 @@ def _run_simulate(args):
     }, None
 
 
+def _run_noting_warnings(args):
+    """``args.run(args)``, then each distinct message of the package's own
+    warnings (UserWarning) on stderr once, as one plain line, before any
+    error line. Other warnings, such as numpy's, pass on unchanged."""
+    notes: dict[str, None] = {}
+    with warnings.catch_warnings():
+        pass_on = warnings.showwarning
+
+        def note(message, category, *where):
+            if issubclass(category, UserWarning):
+                notes.setdefault(str(message))
+            else:
+                pass_on(message, category, *where)
+
+        warnings.showwarning = note
+        try:
+            return args.run(args)
+        finally:
+            for message in notes:
+                print(f"sublsq: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -502,7 +510,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        results, table = args.run(args)
+        results, table = _run_noting_warnings(args)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         doc = {
             "schema_version": SCHEMA_VERSION,

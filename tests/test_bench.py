@@ -16,12 +16,15 @@ from sublsq import (
     compute_probabilities,
     default_r_grid,
     draw,
+    exchange_improve,
     t5_line_spec,
     generate_synthetic,
+    greedy_select,
     iboss_select,
     ols_fit,
     run_emse,
     subsample_estimate,
+    volume_sample,
 )
 from sublsq.bench import DEFAULT_REPS, REGISTERED_METHODS, dataset_fingerprint
 from sublsq.rng import derive_rng
@@ -256,7 +259,8 @@ def test_registered_methods_keep_their_names_and_order():
 
 def _restated_records(data, methods, r_values, reps, seed, alpha=0.9):
     """run_emse's records by a literal per-cell loop: for every (rep, method,
-    r), probabilities, then draw, then estimate, with nothing shared."""
+    r), probabilities, then draw, then estimate, or the full fit, or the
+    selection and its fit, with nothing shared."""
     beta_full = ols_fit(data).beta
     out = {}
     for method in methods:
@@ -265,8 +269,18 @@ def _restated_records(data, methods, r_values, reps, seed, alpha=0.9):
             for rep in range(reps):
                 sample = data.take_rows(derive_rng(seed, "bootstrap", rep).integers(0, data.n, size=data.n))
                 try:
-                    if method == "IBOSS":
+                    if method == "OLS":
+                        beta = ols_fit(sample).beta
+                    elif method == "IBOSS":
                         beta = ols_fit(sample.take_rows(iboss_select(sample, r).indices)).beta
+                    elif method == "GREEDY":
+                        beta = ols_fit(sample.take_rows(greedy_select(sample, r, "D").indices)).beta
+                    elif method == "EXCHANGE":
+                        picked = exchange_improve(sample, greedy_select(sample, r, "D"))
+                        beta = ols_fit(sample.take_rows(picked.indices)).beta
+                    elif method == "LEVVOL":
+                        rows = volume_sample(sample, r, "leveraged", (seed, "method", "LEVVOL", rep, r))
+                        beta = ols_fit(sample.take_rows(rows)).beta
                     else:
                         pv = compute_probabilities(sample, method, alpha if method == "SLEV" else None)
                         d = draw(pv, r, (seed, "method", method, rep, r))
@@ -307,14 +321,16 @@ HOIST_CASES = {
 }
 
 
+@pytest.mark.filterwarnings("ignore:leveraged volume sampling is tuned")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(HOIST_CASES))
 def test_records_match_a_literal_per_cell_restatement(case, workers):
-    # probabilities and alias tables are built once per (replicate, scheme)
-    # and shared by every r; the records keep every bit of the per-cell loop
+    # probabilities and alias tables (or the full fit) are built once per
+    # (replicate, method) and shared by every r; the records keep every bit
+    # of the per-cell loop
     make, r_values, reps = HOIST_CASES[case]
     data = make()
-    methods = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL", "IBOSS")
+    methods = ("OLS", "RAND", "BLEV", "SLEV", "IC", "RL", "PL", "IBOSS", "GREEDY", "EXCHANGE", "LEVVOL")
     report = run_emse(data, methods, r_values, reps=reps, seed=11, workers=workers)
     expected = _restated_records(data, methods, r_values, reps, 11)
     got = {

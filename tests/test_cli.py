@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sublsq.bench as bench_mod
+import sublsq.sampler as sampler_mod
 from sublsq.bench import (
     DESIGN_FAMILIES,
     SyntheticSpec,
@@ -16,6 +19,7 @@ from sublsq.bench import (
 )
 from sublsq.cli import RunConfig, main, parse_csv
 from sublsq.errors import ValidationError
+from sublsq.probs import SCHEMES
 
 
 def _write(path: Path, text: str) -> str:
@@ -261,6 +265,130 @@ def test_select_results_are_pinned(capsys, select_csvs, key):
     assert results["method"] == method
     if "criterion" in keys:
         assert results["criterion"] == criterion
+
+
+# `subsample` results recorded before the CLI drew through the bench's method
+# entry, on the "mid" CSV at r = 12, seed 11: (--scheme, --mode) -> (indices,
+# sha256 of beta, draw_probs and residual_ss at 12 significant digits).
+SUBSAMPLE_PINS = {
+    ("RAND", "plain"): (
+        [40, 38, 239, 149, 177, 180, 213, 8, 145, 44, 120, 278],
+        "d55399eb722e12ebab8f493e7337367e264a382cae36f7f1b309fc28068e5514",
+    ),
+    ("RAND", "weighted"): (
+        [40, 38, 239, 149, 177, 180, 213, 8, 145, 44, 120, 278],
+        "3f5a2296b0ac72803420d9a3b7ac3045868d82c098f2ac6560c8fd95218e0836",
+    ),
+    ("BLEV", "plain"): (
+        [40, 38, 219, 162, 177, 180, 212, 36, 145, 44, 140, 270],
+        "65bbdf5cbef900db43dc401ba7c63d0b85556325f8bb4d65467b7d8d29b9421a",
+    ),
+    ("BLEV", "weighted"): (
+        [40, 38, 219, 162, 177, 180, 212, 36, 145, 44, 140, 270],
+        "6520602dcb8754d31d7b1dd9a2695c93c65beaf14ddaff8406e35487675b6c3f",
+    ),
+    ("SLEV", "plain"): (
+        [40, 38, 219, 162, 177, 180, 212, 36, 145, 44, 140, 278],
+        "e71b66b087db10cb226ce01b5c693fb83fab73a67713db34c4fe8649e3e50cc1",
+    ),
+    ("SLEV", "weighted"): (
+        [40, 38, 219, 162, 177, 180, 212, 36, 145, 44, 140, 278],
+        "2c43d9bf696a55ffdd1b7d3ddcb5110aabb78cc2687ca7f69b382c42f468b689",
+    ),
+    ("IC", "plain"): (
+        [40, 38, 225, 160, 177, 176, 212, 8, 145, 44, 140, 278],
+        "b2284cd1dd09a30aca109317ea73e0e594d14e03e5d26ed754aa70e3dcdbb071",
+    ),
+    ("IC", "weighted"): (
+        [40, 38, 225, 160, 177, 176, 212, 8, 145, 44, 140, 278],
+        "57d27a977a4b3b3dd767304c09f05747a81f1754130a8a1b64cc2075c6f5a436",
+    ),
+    ("RL", "plain"): (
+        [40, 38, 239, 160, 177, 176, 212, 8, 145, 44, 140, 278],
+        "7b320ad6cee8214ecc8975f03e06ea9bbb6ec53993e54350547689ccb4cd1069",
+    ),
+    ("RL", "weighted"): (
+        [40, 38, 239, 160, 177, 176, 212, 8, 145, 44, 140, 278],
+        "74fc129eb77eaa5d44bf53505d3420d882657089b6f96b87ba817def3bc3bf3f",
+    ),
+    ("PL", "plain"): (
+        [40, 38, 239, 159, 177, 180, 212, 8, 145, 44, 140, 278],
+        "b605533c97971ea30fd810ae2a1724d28d57892a4e89a1459ed115d5c6a370f5",
+    ),
+    ("PL", "weighted"): (
+        [40, 38, 239, 159, 177, 180, 212, 8, 145, 44, 140, 278],
+        "e5543475fea8b886a02a1e39fc0af240a6c8586e71347d458f2ba61edd621519",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SUBSAMPLE_PINS))
+def test_subsample_results_are_pinned(capsys, select_csvs, key):
+    scheme, mode = key
+    code, out, _ = _run(capsys, [
+        "subsample", "--input", select_csvs["mid"], "--response", "y", "--scheme", scheme,
+        "--mode", mode, "--r", "12", "--seed", "11",
+    ])
+    assert code == 0
+    results = json.loads(out)["results"]
+    indices, digest = SUBSAMPLE_PINS[key]
+    assert sorted(results) == ["beta", "draw_probs", "indices", "mode", "rank", "residual_ss", "scheme"]
+    assert (results["scheme"], results["mode"], results["indices"]) == (scheme, mode, indices)
+    h = hashlib.sha256()
+    for name in ("beta", "draw_probs"):
+        h.update(" ".join(f"{v:.11e}" for v in results[name]).encode() + b"\n")
+    h.update(f"{results['residual_ss']:.11e}\n".encode())
+    assert h.hexdigest() == digest
+
+
+def test_subsample_draws_without_an_alias_table(capsys, tmp_path, monkeypatch):
+    # one draw looks up its cells alone: a whole table costs O(n) per command
+    path = str(tmp_path / "tall.csv")
+    assert _run(capsys, ["simulate", "--family", "gaussian", "--n", "5000", "--p", "3", "--seed", "4", "--output", path])[0] == 0
+    tables = []
+    real_table = sampler_mod.alias_table
+    monkeypatch.setattr(sampler_mod, "alias_table", lambda probs: tables.append(probs.shape) or real_table(probs))
+    for scheme in SCHEMES:
+        code, out, _ = _run(capsys, [
+            "subsample", "--input", path, "--response", "y", "--scheme", scheme, "--r", "100",
+        ])
+        assert code == 0 and len(json.loads(out)["results"]["indices"]) == 100
+    assert tables == []
+
+
+def test_a_warning_is_one_plain_line(capsys, select_csvs):
+    # once a UserWarning naming a line of package source, then that line
+    code, out, err = _run(capsys, [
+        "select", "--input", select_csvs["small"], "--response", "y", "--method", "volume-leveraged",
+        "--r", "4", "--seed", "11",
+    ])
+    assert code == 0 and json.loads(out)["results"]["indices"] == [3, 8, 9, 1]
+    assert err == "sublsq: warning: leveraged volume sampling is tuned for r > 4 p^2 (= 16); got r=4, proceeding anyway\n"
+
+
+def test_warnings_precede_the_error_line_once_each(capsys):
+    code, _, err = _run(capsys, [
+        "bench", "--synthetic", "t5_line", "--n", "20", "--reps", "3", "--methods", "LEVVOL,IBOSS",
+        "--r", "4,6", "--workers", "2",
+    ])
+    assert code == 1
+    assert err.splitlines() == [
+        "sublsq: warning: leveraged volume sampling is tuned for r > 4 p^2 (= 16); got r=4, proceeding anyway",
+        "sublsq: warning: leveraged volume sampling is tuned for r > 4 p^2 (= 16); got r=6, proceeding anyway",
+        "sublsq: input error: method IBOSS cannot run at r=6: r must be a positive multiple of 2p=4, got 6",
+    ]
+
+
+def test_a_runtime_warning_passes_on_unchanged(capsys, monkeypatch, recwarn, select_csvs):
+    # test_hostile_csv_raises_no_runtime_warning reads numpy's warnings through recwarn
+    def overflowing(data, r, seed, criterion):
+        np.float64(1e308) * 10.0
+        return {"indices": np.arange(r)}
+
+    monkeypatch.setitem(bench_mod.SELECTIONS, "IBOSS", overflowing)
+    code, _, err = _run(capsys, ["select", "--input", select_csvs["small"], "--method", "iboss", "--r", "4"])
+    assert code == 0 and err == ""
+    assert [w.category for w in recwarn] == [RuntimeWarning]
 
 
 @pytest.mark.parametrize("argv, flag", [
