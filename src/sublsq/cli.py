@@ -66,6 +66,8 @@ class RunConfig:
 
 def _resolve_column(header: list[str], spec: str) -> int:
     if spec in header:
+        if header.count(spec) > 1:
+            raise ValidationError(f"column {spec!r} names more than one field of header {header}")
         return header.index(spec)
     try:
         idx = int(spec)
@@ -87,20 +89,38 @@ def parse_csv(path: str, config: RunConfig) -> Dataset:
     response column yields an all-zero response (the probability and
     selection subcommands never look at it).
 
-    A plain numeric file is read in one ``np.loadtxt`` pass. Anything
-    that pass rejects or doubts (quoted cells, ``1_000``-style numbers,
-    ragged or bad rows, values the log transform or the finiteness check
-    refuse) is re-read by ``_parse_rows``, so results and error messages
-    are those of the row-by-row reader.
+    A plain numeric file is read in one ``np.loadtxt`` pass. A file that
+    pass cannot parse (quoted cells, ``1_000``-style numbers, ragged or
+    bad rows) is read by ``_parse_rows``, which names the line of a bad
+    cell. Both readers only parse: the log and finiteness rules apply
+    here, once, and a bad value in a file read in one pass takes its
+    line from a re-read by ``_parse_rows``.
     """
-    bulk = _parse_bulk(path, config)
-    if bulk is None:
-        return _parse_rows(path, config)
-    return _select(*bulk, config)
+    header, values, lines = _parse_bulk(path, config) or _parse_rows(path, config)
+
+    def at(i, j) -> str:
+        row_lines = lines if lines is not None else _parse_rows(path, config)[2]
+        return f"{path} line {row_lines[i]}, column {header[j]!r}"
+
+    logged = set()
+    for name in config.log_columns:
+        j = _resolve_column(header, name)
+        if j in logged:
+            raise ValidationError(f"log column {header[j]!r} is listed more than once")
+        logged.add(j)
+        bad = np.flatnonzero(values[:, j] <= 0)
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(f"{at(i, j)}: log transform needs positive values, got {values[i, j]}")
+        values[:, j] = np.log(values[:, j])
+    if not np.all(np.isfinite(values)):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ValidationError(f"{at(i, j)}: non-finite value")
+    return _select(header, values, config)
 
 
-def _parse_bulk(path: str, config: RunConfig) -> tuple[list[str], np.ndarray] | None:
-    """Header and preprocessed values of a clean file, else None."""
+def _parse_bulk(path: str, config: RunConfig) -> tuple[list[str], np.ndarray, None] | None:
+    """Header and values of a clean file after ``drop_head_rows``, else None."""
     if config.drop_head_rows < 0:
         return None
     try:
@@ -115,18 +135,12 @@ def _parse_bulk(path: str, config: RunConfig) -> tuple[list[str], np.ndarray] | 
     values = values[config.drop_head_rows :]
     if values.shape[1] != len(header) or values.shape[0] == 0:
         return None
-    for name in config.log_columns:
-        j = _resolve_column(header, name)
-        if np.any(values[:, j] <= 0):
-            return None
-        values[:, j] = np.log(values[:, j])
-    if not np.all(np.isfinite(values)):
-        return None
-    return header, values
+    return header, values, None
 
 
-def _parse_rows(path: str, config: RunConfig) -> Dataset:
-    """Row-by-row reader: ``float()`` per cell, errors named by line and column."""
+def _parse_rows(path: str, config: RunConfig) -> tuple[list[str], np.ndarray, list[int]]:
+    """Header, values after ``drop_head_rows`` and the file line of each
+    kept row, by ``float()`` per cell; errors named by line and column."""
     try:
         fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -169,23 +183,7 @@ def _parse_rows(path: str, config: RunConfig) -> Dataset:
                     f"non-numeric value {cell.strip()!r}"
                 ) from None
 
-    for name in config.log_columns:
-        j = _resolve_column(header, name)
-        bad = np.flatnonzero(values[:, j] <= 0)
-        if bad.size:
-            lineno = raw_rows[int(bad[0])][0]
-            raise ValidationError(
-                f"{path} line {lineno}, column {header[j]!r}: "
-                f"log transform needs positive values, got {values[int(bad[0]), j]}"
-            )
-        values[:, j] = np.log(values[:, j])
-
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise ValidationError(
-            f"{path} line {raw_rows[int(i)][0]}, column {header[int(j)]!r}: non-finite value"
-        )
-    return _select(header, values, config)
+    return header, values, [lineno for lineno, _ in raw_rows]
 
 
 def _select(header: list[str], values: np.ndarray, config: RunConfig) -> Dataset:
@@ -529,8 +527,9 @@ def main(argv=None) -> int:
                     fh.write(text)
             except OSError as exc:
                 raise ValidationError(f"cannot write {args.output}: {exc}") from exc
-    except ValidationError as exc:
-        print(f"sublsq: input error: {exc}", file=sys.stderr)
+    except (ValidationError, MemoryError) as exc:
+        # a size too large to allocate is the input's fault, not a crash
+        print(f"sublsq: input error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"sublsq: numerical failure: {exc}", file=sys.stderr)

@@ -492,6 +492,21 @@ def test_unwritable_output_is_an_input_error(capsys, tmp_path, line_csv):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["subsample", "--scheme", "BLEV", "--r", str(10**17)],
+    ["subsample", "--scheme", "RAND", "--mode", "plain", "--r", str(10**17)],
+    ["simulate", "--n", str(10**17)],
+], ids=["subsample-weighted", "subsample-plain", "simulate"])
+def test_a_size_too_large_to_allocate_is_an_input_error(capsys, tmp_path, argv):
+    # 10^17 elements exceed any address space, so the allocation fails at once
+    path = _write(tmp_path / "d.csv", "x,y\n1,2\n2,3\n4,4\n")
+    argv = argv + (["--output", str(tmp_path / "sim.csv")] if argv[0] == "simulate"
+                   else ["--input", path, "--response", "y"])
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert err.startswith("sublsq: input error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_json_is_sorted_and_finite(capsys, line_csv):
     code, out, _ = _run(capsys, ["fit", "--input", line_csv, "--response", "y", "--intercept"])
     doc = json.loads(out)
