@@ -263,8 +263,8 @@ def run_emse(
     Replicates are embarrassingly parallel; pass ``workers > 1`` to spread
     them over threads. The report is identical for any worker count.
     Only numerical failures count per replicate: an input error a method
-    raises at one r (IBOSS at an r that 2p does not divide, VOL beyond the
-    enumeration cap, r above n) stops the run, naming the method and r, as
+    raises at one r (IBOSS at an r that 2p does not divide, r above n)
+    stops the run, naming the method and r, as
     every bootstrap sample keeps the input's n and p. Empty or repeated
     ``methods`` or ``r_values`` raise before any replicate runs.
     """

@@ -5,8 +5,11 @@ Two variants:
 * standard - a distribution over size-r subsets S of the rows with
   ``Pr(S) = det(X_S' X_S) / (C(n-p, r-p) det(X'X))``. Over the thin SVD
   X = U S V' that is ``det(U_S' U_S) / C(n-p, r-p)``, so the masses are
-  taken on the rows of the dataset's one factorization. Sampled by
-  enumerating every subset, so n is capped at 20.
+  taken on the rows of the dataset's one factorization. By Cauchy-Binet
+  a draw is a size-p volume sample, the projection DPP with kernel U U'
+  (Derezinski and Warmuth, 2017), plus r - p rows drawn uniformly from the
+  rest; it is drawn so, exactly, at any n, in O(n p^2) a draw. The masses
+  are enumerated only for tests, at n <= 20.
 * leveraged (Derezinski, Warmuth and Hsu, 2018) - a distribution over
   ordered index sequences tau of length r with ``Pr(tau) proportional to
   det(sum_i x_i x_i'/q_i) prod_i q_i`` where ``q_i`` is leverage/p. Drawn
@@ -21,9 +24,10 @@ Two variants:
   batch proposes what that rate expects for the draws still missing.
 
 Work is sized from the inputs: determinants are taken in blocks of about
-``_BLOCK`` gathered floats (8 MB), the most a rejection batch proposes.
-Both samplers are seeded and reproducible, and agree with the enumerated
-distributions (that is the test surface).
+``_BLOCK`` gathered floats (8 MB), the most a rejection batch proposes,
+and standard draws in chunks whose (draws, n) temporaries hold at most
+``_BLOCK`` floats. Both samplers are seeded and reproducible, and agree
+with the enumerated distributions (that is the test surface).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Dataset, dataset_svd, full_rank_leverage, full_rank_svd, one_of, subset_size
+from .core import Dataset, _kept_leverage, dataset_svd, full_rank_leverage, full_rank_svd, one_of, subset_size
 from .errors import CapacityError, DegenerateDistributionError, SamplingError, ValidationError
 from .rng import SeedLike, derive_rng
 
@@ -51,6 +55,7 @@ ENUMERATION_MAX_N = 20
 LEVERAGED_ENUMERATION_LIMIT = 2_000_000
 _BLOCK = 1 << 20  # index-gathered floats per block, 8 MB, as optdesign._SWAP_BLOCK
 _REJECTION_PROPOSAL_BUDGET = 5_000_000
+_RESIDUAL_RTOL = 2.0**-40  # a residual leverage at most this share of the row's leverage is rounding
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,22 +86,21 @@ class SubsetDistribution:
 
 def _gram_logdets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
     """log det of the p x p information matrix of each index row, in
-    blocks of ``max(1, _BLOCK // (r p))`` index rows.
+    blocks of ``max(1, _BLOCK // (r p))`` index rows, half that where
+    ``scale`` weights the rows, so that the scaled copy fits the block too.
 
     Determinants of PSD matrices: a sign <= 0 is rounding noise at zero,
     so those entries get -inf (mass 0).
     """
     m, r = index_rows.shape
-    step = max(1, _BLOCK // (r * design.shape[1]))
+    copies = 1 if scale is None else 2  # the gathered rows, and their scaled copy
+    step = max(1, _BLOCK // (copies * r * design.shape[1]))
     out = np.empty(m)
     for lo in range(0, m, step):
         idx = index_rows[lo : lo + step]
         rows = design[idx]  # (step, r, p)
-        if scale is None:
-            info = np.einsum("mri,mrj->mij", rows, rows)
-        else:
-            info = np.einsum("mri,mrj,mr->mij", rows, rows, scale[idx])
-        sign, logdet = np.linalg.slogdet(info)
+        scaled = rows if scale is None else rows * scale[idx][..., None]
+        sign, logdet = np.linalg.slogdet(scaled.transpose(0, 2, 1) @ rows)
         out[lo : lo + step] = np.where(sign > 0, logdet, -np.inf)
     return out
 
@@ -163,11 +167,68 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
 
 
 def _inverse_cdf(weights: np.ndarray):
-    """Sampler mapping uniforms in [0, 1) to indices drawn proportionally to ``weights``."""
-    cum = np.cumsum(weights / weights.sum())
-    # so that no u < 1 lands past the last positive weight
-    cum[np.flatnonzero(weights)[-1] :] = 1.0
-    return lambda u: np.searchsorted(cum, u, side="right")
+    """Sampler mapping uniforms in [0, 1) to indices drawn proportionally to ``weights``.
+
+    A 2-D ``weights`` holds one weight row per draw: its sampler maps one
+    uniform per row to an index into that row. No uniform below 1 lands
+    past the last positive weight of its row, though the cumulative sum
+    may round below 1 there.
+    """
+    cum = np.cumsum(weights / weights.sum(axis=-1, keepdims=True), axis=-1)
+    if weights.ndim == 1:
+        cum[np.flatnonzero(weights)[-1] :] = 1.0
+        return lambda u: np.searchsorted(cum, u, side="right")
+    last = weights.shape[1] - 1 - np.argmax(weights[:, ::-1] > 0, axis=1)
+    return lambda u: np.minimum(np.count_nonzero(cum <= u[:, None], axis=1), last)
+
+
+def _standard_draws(data: Dataset, r: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` exact standard volume draws, each a sorted row of r distinct indices.
+
+    By Cauchy-Binet ``det(U_S' U_S) = sum_{T in S, |T| = p} det(U_T)^2``, so
+    a draw is a size-p volume sample T plus r - p rows drawn uniformly from
+    the other n - p: ``Pr(S) = sum_{T in S} det(U_T)^2 / C(n-p, r-p)``.
+    T is the projection DPP with kernel U U', drawn by the chain rule: each
+    of p picks takes a row with probability proportional to its residual
+    leverage, the squared norm of its u_i off the directions picked so far,
+    then adds that row's direction, orthonormalized by Gram-Schmidt twice.
+    A residual below 0, or at rounding level, such as that of a duplicate
+    of a picked row, is set to 0. The rest are the r - p smallest of n
+    uniform keys over the rows not picked.
+
+    Draws are taken ``max(1, _BLOCK // n)`` at a time, so each (draws, n)
+    temporary holds at most ``_BLOCK`` floats; the cost is O(n p^2) a draw.
+    """
+    U = full_rank_svd(data, "standard volume sampling")[0]
+    n, p = U.shape
+    lev = _kept_leverage(data)
+    floor = _RESIDUAL_RTOL * lev
+    step = max(1, _BLOCK // n)
+    out = np.empty((size, r), dtype=np.intp)
+    for lo in range(0, size, step):
+        picks = out[lo : lo + step]
+        m = picks.shape[0]
+        draws = np.arange(m)
+        residual = np.tile(lev, (m, 1))
+        basis = np.empty((m, p, p))
+        for k in range(p):
+            j = _inverse_cdf(residual)(rng.random(m))
+            picks[:, k] = j
+            v = U[j]
+            for _ in range(2):
+                v -= np.einsum("mkp,mk->mp", basis[:, :k], np.einsum("mkp,mp->mk", basis[:, :k], v))
+            basis[:, k] = v / np.linalg.norm(v, axis=1, keepdims=True)
+            if k < p - 1:
+                projection = basis[:, k] @ U.T
+                residual -= np.square(projection, out=projection)
+                residual[draws, j] = 0.0
+                np.copyto(residual, 0.0, where=residual <= floor)
+        if r > p:
+            keys = rng.random((m, n))
+            keys[draws[:, None], picks[:, :p]] = np.inf
+            picks[:, p:] = np.argpartition(keys, r - p - 1, axis=1)[:, : r - p]
+        picks.sort(axis=1)
+    return out
 
 
 def _leveraged_log_ratios(data: Dataset, inv_q: np.ndarray, proposals: np.ndarray) -> np.ndarray:
@@ -226,10 +287,10 @@ def volume_sample(data: Dataset, r: int, variant: str, seed: SeedLike, size: int
     """Draw from one of the two volume-sampling distributions.
 
     ``standard`` returns a sorted array of r distinct row indices, drawn
-    from the enumerated distribution; ``leveraged`` returns an ordered
-    length-r sequence that may repeat indices, drawn by rejection. Pass
-    ``size`` to get a (size, r) array of independent draws from one
-    seeded stream.
+    as p chain-rule picks on the rows of U plus r - p rows uniformly from
+    the rest; ``leveraged`` returns an ordered length-r sequence that may
+    repeat indices, drawn by rejection. Both run at any n. Pass ``size``
+    to get a (size, r) array of independent draws from one seeded stream.
     """
     one_of(variant, VARIANTS, "variant")
     rng = derive_rng(seed)
@@ -237,8 +298,7 @@ def volume_sample(data: Dataset, r: int, variant: str, seed: SeedLike, size: int
     count = 1 if one else subset_size(size, 1, what="size")
 
     if variant == "standard":
-        dist = standard_volume_distribution(data, r)
-        rows = dist.subsets[_inverse_cdf(dist.masses)(rng.random(count))]
+        rows = _standard_draws(data, subset_size(r, data.p, data.n), rng, count)
     else:
         r = subset_size(r, data.p)
         if r <= 4 * data.p**2:

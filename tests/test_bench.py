@@ -8,7 +8,6 @@ import pytest
 import sublsq.bench as bench_mod
 import sublsq.sampler as sampler_mod
 from sublsq import (
-    CapacityError,
     Dataset,
     SubLsqError,
     SyntheticSpec,
@@ -143,25 +142,23 @@ def test_failing_method_marked_not_fatal():
 
 def test_methods_whose_rule_fails_every_replicate_are_rejected_up_front():
     data = generate_synthetic(heavy_tailed_spec(50), 8)
-    # r=6 is not a multiple of 2p=4, and n=50 is beyond subset enumeration;
-    # both once counted as a failed replicate of every cell
+    # r=6 is not a multiple of 2p=4; it once counted as a failed replicate
+    # of every cell. VOL, once capped at n=20 by subset enumeration, runs
     with pytest.raises(ValidationError, match="method IBOSS cannot run at r=6: .*multiple of 2p=4"):
         run_emse(data, ["RAND", "IBOSS"], [8, 6], reps=2, seed=9)
-    with pytest.raises(CapacityError, match="method VOL cannot run at r=8: .*capped at n=20"):
-        run_emse(data, ["VOL"], [8], reps=2, seed=9)
+    rec = _records_by_key(run_emse(data, ["VOL"], [8], reps=2, seed=9))[("VOL", 8)]
+    assert rec.n_failed == 0 and np.isfinite(rec.emse)
 
 
-def test_volume_methods_fail_beyond_desk_scale_but_run_small():
-    big = generate_synthetic(heavy_tailed_spec(400), 10)
-    with pytest.raises(CapacityError, match="VOL"):
-        run_emse(big, ["VOL"], [4], reps=4, seed=11)
-    small = generate_synthetic(
-        SyntheticSpec(n=12, p=2, design_family="gaussian", beta0=(1.0, 1.0), noise_sd=0.5),
-        13,
-    )
-    report = run_emse(small, ["VOL"], [4], reps=6, seed=14)
-    rec = _records_by_key(report)[("VOL", 4)]
-    assert not rec.failed and rec.emse >= 0
+def test_volume_methods_run_beyond_desk_scale():
+    # the standard variant was once drawn by enumerating every subset, so
+    # VOL raised CapacityError on any bootstrap sample of more than 20 rows
+    for n in (50, 400):
+        data = generate_synthetic(heavy_tailed_spec(n), 10)
+        recs = _records_by_key(run_emse(data, ["VOL"], [4, 40], reps=4, seed=11))
+        for rec in recs.values():
+            assert rec.n_failed == 0 and not rec.failed
+            assert np.isfinite(rec.emse) and rec.emse >= 0
 
 
 def test_deterministic_selectors_in_harness():

@@ -233,7 +233,8 @@ SELECT_PINS = {
     ("mid", "exchange", "E", 12): (
         _WITH_CRITERION, [30, 88, 117, 119, 140, 176, 182, 187, 198, 219, 240, 289]
     ),
-    ("small", "volume-standard", "D", 4): (["indices", "method"], [0, 3, 8, 10]),
+    # drawn as a size-p projection DPP on U plus a uniform remainder
+    ("small", "volume-standard", "D", 4): (["indices", "method"], [1, 3, 4, 9]),
     # drawn by the rejection sampler bounded by the determinant's exact maximum
     ("small", "volume-leveraged", "D", 4): (["indices", "method"], [3, 8, 9, 1]),
 }
@@ -602,15 +603,17 @@ def test_fit_whose_coefficients_overflow_exits_2(capsys, tmp_path, recwarn):
 
 
 def test_bench_rejects_a_method_that_fails_every_replicate(capsys):
-    # IBOSS at an r that 2p does not divide, and VOL beyond n=20, once exited 0
-    # with every cell "failed"
+    # IBOSS at an r that 2p does not divide once exited 0 with every cell
+    # "failed"; VOL, once stopped beyond n=20 by subset enumeration, runs
     argv = ["bench", "--synthetic", "t5_line", "--n", "50", "--reps", "2", "--r", "6"]
     code, out, err = _run(capsys, [*argv, "--methods", "IBOSS,VOL"])
     assert code == 1 and out == ""
     assert "method IBOSS cannot run at r=6: r must be a positive multiple of 2p=4" in err
-    code, out, err = _run(capsys, [*argv, "--methods", "RAND,VOL"])
-    assert code == 1 and out == ""
-    assert "method VOL cannot run at r=6: subset enumeration is capped at n=20" in err
+    code, out, _ = _run(capsys, [*argv, "--methods", "RAND,VOL"])
+    assert code == 0
+    records = json.loads(out)["results"]["records"]
+    assert [rec["method"] for rec in records] == ["RAND", "VOL"]
+    assert all(rec["n_ok"] == 2 and not rec["failed"] for rec in records)
 
 
 @pytest.mark.parametrize("name", ["huge", "mixed_scales", "tiny"])

@@ -107,6 +107,108 @@ def test_standard_sampler_tv_against_enumeration():
     assert _tv(draws, exact) <= 0.02
 
 
+def _standard_cases():
+    rng = np.random.default_rng(47)
+    zero_row = rng.standard_normal((9, 2))
+    zero_row[4] = 0.0
+    base = rng.standard_normal((6, 2))
+    return {
+        "p=1": (rng.standard_normal((8, 1)), 3),
+        "r=p": (rng.standard_normal((7, 3)), 3),
+        "r=n": (rng.standard_normal((7, 2)), 7),
+        "zero_row": (zero_row, 4),
+        "duplicated_rows": (base[[0, 1, 2, 3, 4, 5, 1, 3, 3]], 4),
+        "columns_1_to_1e4": (rng.standard_normal((10, 3)) * [1, 1e2, 1e4], 5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_standard_cases()))
+def test_standard_sampler_matches_enumerated_masses(name):
+    # Bound stated up front: over N = 200,000 draws the total variation from
+    # the enumerated masses is at most 1.5 times the expected sampling TV of
+    # an exact sampler, which is at most 0.5 * sqrt(2 / (pi * N)) * sum(sqrt(mass))
+    # (0.0009 to 0.013 on these cases), plus 1e-12 of rounding in the masses.
+    X, r = _standard_cases()[name]
+    d = Dataset(design=X, response=np.zeros(X.shape[0]))
+    dist = standard_volume_distribution(d, r)
+    size = 200_000
+    bound = 1.5 * 0.5 * np.sqrt(2 / (np.pi * size)) * np.sqrt(dist.masses).sum() + 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        draws = volume_sample(d, r, "standard", 53, size=size)
+    exact = {tuple(s): m for s, m in zip(dist.subsets, dist.masses)}
+    assert _tv(draws, exact) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    extra=st.integers(0, 40),
+    duplicates=st.integers(0, 20),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 30),
+    r_share=st.floats(0, 1),
+)
+def test_standard_draws_are_sorted_distinct_full_rank_rows(p, extra, duplicates, data_seed, seed, size, r_share):
+    rng = np.random.default_rng(data_seed)
+    base = rng.standard_normal((p + extra, p)) * rng.choice([1.0, 1e-3, 1e4], size=p)
+    X = np.vstack([base, base[rng.integers(0, base.shape[0], duplicates)]])
+    n = X.shape[0]
+    r = p + round(r_share * (n - p))
+    draws = volume_sample(Dataset(design=X, response=np.zeros(n)), r, "standard", seed, size=size)
+    assert draws.shape == (size, r)
+    assert np.all(np.diff(draws, axis=1) > 0)
+    assert draws.min() >= 0 and draws.max() < n
+    # a rank-deficient subset has mass 0
+    assert all(np.linalg.matrix_rank(X[rows]) == p for rows in draws)
+
+
+def test_chunked_standard_draws_fill_every_row(monkeypatch):
+    # chunks of 3 draws, the last one short: every row of the output is drawn
+    X = np.random.default_rng(19).standard_normal((40, 3))
+    monkeypatch.setattr(volume, "_BLOCK", 3 * 40)
+    draws = volume_sample(Dataset(design=X, response=np.zeros(40)), 7, "standard", 2, size=10)
+    assert draws.shape == (10, 7)
+    assert np.all(np.diff(draws, axis=1) > 0) and draws.min() >= 0 and draws.max() < 40
+    assert len({tuple(row) for row in draws}) == 10
+
+
+def test_standard_subsample_estimate_is_unbiased():
+    # Derezinski and Warmuth (2017): under volume sampling of any r >= p rows,
+    # the least-squares fit on the subset is an unbiased estimate of the full
+    # fit. Tolerance fixed up front: over N = 20,000 draws at n = 1,000,
+    # p = 3, r = 2p, each coefficient's mean is within 5 standard errors
+    # (its sample standard deviation over sqrt(N)) of the full fit.
+    rng = np.random.default_rng(59)
+    n, p, size = 1_000, 3, 20_000
+    X = rng.standard_t(5, (n, p))
+    y = X @ np.ones(p) + rng.standard_t(5, n)
+    full = np.linalg.lstsq(X, y, rcond=None)[0]
+    draws = volume_sample(Dataset(design=X, response=y), 2 * p, "standard", 61, size=size)
+    XS, yS = X[draws], y[draws]
+    betas = np.linalg.solve(XS.transpose(0, 2, 1) @ XS, (XS.transpose(0, 2, 1) @ yS[..., None]))[..., 0]
+    stderr = betas.std(axis=0, ddof=1) / np.sqrt(size)
+    assert np.all(np.abs(betas.mean(axis=0) - full) <= 5 * stderr)
+
+
+def test_one_standard_draw_at_20000_by_10_is_quick_and_small():
+    # subset enumeration once capped the standard variant at n = 20
+    X = np.random.default_rng(0).standard_t(5, size=(20_000, 10))
+    d = Dataset(design=X, response=np.zeros(20_000))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        draw = volume_sample(d, 1_000, "standard", 3)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draw.shape == (1_000,) and np.all(np.diff(draw) > 0)
+    assert elapsed < 1.0
+    assert peak < 64 * 2**20
+
+
 def test_leveraged_enumeration_matches_oracle():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((3, 2))
@@ -329,6 +431,28 @@ def test_inverse_cdf_never_returns_a_trailing_zero_weight():
     sample = _inverse_cdf(weights)
     top = np.nextafter(1.0, 0.0)
     assert sample(np.array([0.0, 0.5, top])).tolist() == [0, 5, 9]
+
+
+def test_two_dimensional_inverse_cdf_never_returns_a_trailing_zero_weight():
+    # one weight row per draw, each with its own trailing zeros; the top
+    # uniform lands on the last positive weight of its row
+    weights = np.array([
+        [0.1] * 10 + [0.0, 0.0],
+        [0.0, 0.1] + [0.1] * 8 + [0.1, 0.0],
+        [0.0, 0.0] + [0.1] * 10,
+        [0.0, 3.0, 0.0, 1.0] + [0.0] * 8,
+    ])
+    sample = _inverse_cdf(weights)
+    top = np.nextafter(1.0, 0.0)
+    assert sample(np.full(4, top)).tolist() == [9, 10, 11, 3]
+    assert sample(np.zeros(4)).tolist() == [0, 1, 2, 1]
+    rows = np.random.default_rng(67).random((4, 12)) * (weights > 0)
+    u = np.random.default_rng(71).random((1000, 4))
+    for k in range(4):
+        # the same index as the one-row sampler, row by row
+        assert np.array_equal(
+            np.array([_inverse_cdf(rows)(v)[k] for v in u]), _inverse_cdf(rows[k])(u[:, k])
+        )
 
 
 def test_permutation_equivariance():
