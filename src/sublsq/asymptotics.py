@@ -13,19 +13,18 @@ e = -2, 0, 2 for the coefficients (the trace above), the fitted line and
 the moment vector. Each target's second term is minimized by the
 probability vector proportional to the corresponding per-row norm (IC, RL,
 PL respectively), which is the property the tests pin down. Both read
-one p x p matrix, ``G = U' diag(1/pi) U = r U' Omega U``, summed over
-blocks of ``_ROW_BLOCK`` rows of U once per (dataset, probability vector)
-and kept on the vector, so a sweep over r or over the targets reuses it.
+one p x p matrix, ``G = U' diag(1/pi) U = r U' Omega U``, which the
+dataset's ``Factorization`` sums once per probability vector and keeps
+(``weighted_gram``), so a sweep over r or over the targets reuses it.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ROW_BLOCK, Dataset, _freeze, dataset_svd, full_rank_svd, ols_fit, one_of, subset_size
+from .core import Dataset, factors, ols_fit, one_of, subset_size
 from .errors import NumericalError, ValidationError
 from .probs import ProbabilityVector
 
@@ -107,37 +106,16 @@ def _checked_r(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> int:
     return r
 
 
-def _weighted_gram(data: Dataset, probs: ProbabilityVector) -> np.ndarray:
-    """The frozen p x p matrix ``U' diag(1/pi) U`` over the kept U of ``data``.
-
-    Summed over blocks of ``_ROW_BLOCK`` rows at the first call, then kept
-    on ``probs`` in one slot beside a weak reference to ``data``: a call
-    with another dataset sums afresh and takes the slot, and a race sums
-    twice. Callers check the rank and that pi > 0 first.
-    """
-    kept = probs.__dict__.get("_weighted_gram")
-    if kept is not None and kept[0]() is data:
-        return kept[1]
-    U, pi = dataset_svd(data)[0], probs.probs
-    gram = np.zeros((data.p, data.p))
-    with np.errstate(over="ignore", invalid="ignore"):  # the callers check their results
-        for lo in range(0, data.n, _ROW_BLOCK):
-            block = U[lo : lo + _ROW_BLOCK]
-            gram += block.T @ (block / pi[lo : lo + _ROW_BLOCK, None])
-    probs.__dict__["_weighted_gram"] = (weakref.ref(data), _freeze(gram))
-    return gram
-
-
 def avar_matrix(
     data: Dataset, probs: ProbabilityVector, r: int, sigma2: float
 ) -> AsymptoticVariance:
     """Asymptotic covariance of the weighted subsample estimator, from
     ``U' Omega U = G / r`` with the kept ``G = U' diag(1/pi) U``."""
     r = _checked_r(probs, data.n, r, sigma2)
-    _, s, Vt = full_rank_svd(data, "the asymptotic variance")
-    A = Vt.T / s
+    svd = factors(data).full_rank("the asymptotic variance")
+    A = svd.Vt.T / svd.s
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        inner = np.eye(data.p) + _weighted_gram(data, probs) / r
+        inner = np.eye(data.p) + svd.weighted_gram(probs) / r
         m = sigma2 * (A @ inner @ A.T)
         m = 0.5 * (m + m.T)
     if not np.isfinite(m).all():
@@ -161,10 +139,10 @@ def trace_amse(
     """
     one_of(target, TARGETS, "target")
     r = _checked_r(probs, data.n, r, sigma2)
-    _, s, _ = full_rank_svd(data, "the asymptotic MSE")
+    svd = factors(data).full_rank("the asymptotic MSE")
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        per_direction = 1.0 + np.diag(_weighted_gram(data, probs)) / r
-        value = sigma2 * float(s ** _TARGET_EXPONENTS[target] @ per_direction)
+        per_direction = 1.0 + np.diag(svd.weighted_gram(probs)) / r
+        value = sigma2 * float(svd.s ** _TARGET_EXPONENTS[target] @ per_direction)
     # positive by construction: zero means it underflowed
     if not 0.0 < value < np.inf:
         raise NumericalError("the asymptotic MSE over- or underflows at this column scale")
@@ -175,7 +153,7 @@ def sigma2_estimate(data: Dataset) -> float:
     """Residual noise variance from the full-sample OLS fit."""
     if data.n <= data.p:
         raise ValidationError(f"noise estimation needs n > p, got n={data.n}, p={data.p}")
-    full_rank_svd(data, "noise estimation")
+    factors(data).full_rank("noise estimation")
     return ols_fit(data).residual_ss / (data.n - data.p)
 
 
@@ -187,7 +165,7 @@ def regularity_diagnostics(
     ``condition_ratio`` equals the squared condition number of the design.
     """
     pi, _ = _paired(probs, data.n, r)
-    s = dataset_svd(data)[1]
+    s = factors(data).s
     # From s, not from s*s/n, which underflows long before s[0]/s[-1] does.
     ratio = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
     return RegularityDiagnostics(

@@ -90,12 +90,14 @@ class SyntheticSpec:
 
     def __post_init__(self):
         one_of(self.design_family, DESIGN_FAMILIES, "design_family")
-        if self.n < 1 or self.p < 1:
-            raise ValidationError("n and p must be positive")
+        subset_size(self.n, 1, what="n")
+        subset_size(self.p, 1, what="p")
         if len(self.beta0) != self.p:
             raise ValidationError(f"beta0 must have length p={self.p}")
-        if not self.noise_sd >= 0:
-            raise ValidationError("noise_sd must be nonnegative")
+        if not np.all(np.isfinite(self.beta0)):
+            raise ValidationError(f"beta0 must be finite, got {self.beta0}")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValidationError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if self.design_family == "student_t":
             if self.df is None or not 2 < self.df < np.inf:
                 raise ValidationError(f"student_t needs a finite df > 2, got {self.df}")

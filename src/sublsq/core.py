@@ -4,13 +4,13 @@ Everything else in the package builds on these three operations. Fits are
 computed from a rank-revealing SVD solve and always return the minimum-norm
 solution, so rank-deficient designs degrade gracefully instead of raising;
 a fit whose coefficients or residual sum of squares overflow raises
-NumericalError. Each ``Dataset`` is factored once: ``dataset_svd`` keeps
-the first ``thin_svd`` of its design on the object for every later
-consumer, so an n x p ``U`` stays resident while the ``Dataset`` lives;
-``full_rank_svd`` reads it for consumers that need a full-column-rank
-design, and raises RankError otherwise. The leverage, one einsum over the
-rows of U, is kept beside it in the same way (8 bytes a row), and every
-leverage consumer reads that frozen vector and copies before it writes.
+NumericalError. Each ``Dataset`` is factored once: ``factors`` keeps the
+first ``thin_svd`` of its design, a frozen ``Factorization``, on the
+object, so an n x p ``U`` stays resident while the ``Dataset`` lives. The
+record keeps every shared pass over U: the leverage (8 bytes a row), which
+consumers copy before they write, and each probability vector's
+``U' diag(1/pi) U``; ``full_rank`` is the one rank check, and
+``full_rank_leverage`` the one check for full rank and all-zero rows.
 All functions are pure and thread-safe; returned arrays are frozen.
 
 ``Dataset`` copies and checks its arrays once, at construction, so no
@@ -23,6 +23,7 @@ second check, so it freezes their fancy-indexed copies, bit for bit
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,8 +230,56 @@ def _cholesky_qr2_svd(design: np.ndarray):
     return q1, s, Vt
 
 
-def thin_svd(design: np.ndarray):
-    """Thin SVD plus numerical rank: returns (U, s, Vt, rank).
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """A thin SVD ``X = U diag(s) Vt`` with its numerical rank, frozen.
+
+    It owns every pass over the rows of U that its consumers share, each
+    computed at the first read and kept on the record: ``leverage`` and,
+    per probability vector, ``weighted_gram``. ``full_rank`` is the one
+    rank check of every consumer that needs a full-column-rank design.
+    """
+
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+    rank: int
+
+    @property
+    def leverage(self) -> np.ndarray:
+        """Squared row norms of the first ``rank`` columns of U, unclipped and frozen."""
+        return cached_on(self, "_leverage", lambda: _freeze(_squared_row_norms(self.U[:, : self.rank])))
+
+    def full_rank(self, what: str) -> "Factorization":
+        """This record, if its design has full column rank; RankError naming ``what`` otherwise."""
+        p = self.Vt.shape[1]
+        if self.rank < p:
+            raise RankError(f"{what} requires a full-column-rank design (rank {self.rank} < p={p})")
+        return self
+
+    def weighted_gram(self, probs) -> np.ndarray:
+        """The frozen p x p matrix ``U' diag(1/pi) U`` for the ProbabilityVector ``probs``.
+
+        Summed over blocks of ``_ROW_BLOCK`` rows of U at the first call,
+        then kept per vector in a ``WeakKeyDictionary``, made at first use,
+        so an entry goes with its vector; a race sums twice. Callers check
+        the rank, the length of pi and that pi > 0 first.
+        """
+        grams = cached_on(self, "_grams", weakref.WeakKeyDictionary)
+        gram = grams.get(probs)
+        if gram is None:
+            U, pi = self.U, probs.probs
+            gram = np.zeros((U.shape[1], U.shape[1]))
+            with np.errstate(over="ignore", invalid="ignore"):  # the callers check their results
+                for lo in range(0, U.shape[0], _ROW_BLOCK):
+                    block = U[lo : lo + _ROW_BLOCK]
+                    gram += block.T @ (block / pi[lo : lo + _ROW_BLOCK, None])
+            grams[probs] = gram = _freeze(gram)
+        return gram
+
+
+def thin_svd(design: np.ndarray) -> Factorization:
+    """Thin SVD plus numerical rank, as a ``Factorization``.
 
     Tall, well-conditioned designs are factored by CholeskyQR2, in BLAS-3
     products over the rows that hold one n x p array at a time; every other
@@ -240,23 +289,15 @@ def thin_svd(design: np.ndarray):
     U, s, Vt = svd if svd is not None else np.linalg.svd(design, full_matrices=False)
     n, p = design.shape
     rank = int(np.count_nonzero(s > _rank_tolerance(s, n, p)))
-    return _freeze(U), _freeze(s), _freeze(Vt), rank
+    return Factorization(_freeze(U), _freeze(s), _freeze(Vt), rank)
 
 
-def dataset_svd(data: Dataset):
+def factors(data: Dataset) -> Factorization:
     """``thin_svd(data.design)``, computed at the first call, then kept on ``data``."""
-    return cached_on(data, "_thin_svd", lambda: thin_svd(data.design))
+    return cached_on(data, "_factors", lambda: thin_svd(data.design))
 
 
-def full_rank_svd(data: Dataset, what: str):
-    """Thin SVD (U, s, Vt) of a full-column-rank design; RankError naming ``what`` otherwise."""
-    U, s, Vt, rank = dataset_svd(data)
-    if rank < data.p:
-        raise RankError(f"{what} requires a full-column-rank design (rank {rank} < p={data.p})")
-    return U, s, Vt
-
-
-def _fit(data: Dataset, svd, rhs: np.ndarray, weights=None) -> EstimateResult:
+def _fit(data: Dataset, svd: Factorization, rhs: np.ndarray, weights=None) -> EstimateResult:
     """Minimum-norm least-squares fit of ``rhs`` on the design whose ``thin_svd`` is ``svd``.
 
     That design and ``rhs`` are those of ``data``, scaled by the square
@@ -265,7 +306,7 @@ def _fit(data: Dataset, svd, rhs: np.ndarray, weights=None) -> EstimateResult:
     NumericalError where the coefficients or that sum are not finite;
     numpy's overflow warnings are silenced, since that raises.
     """
-    U, s, Vt, rank = svd
+    U, s, Vt, rank = svd.U, svd.s, svd.Vt, svd.rank
     with np.errstate(over="ignore", invalid="ignore"):
         # rank 0 (an all-zero design) gives the zero vector
         beta = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / s[:rank])
@@ -288,7 +329,7 @@ def ols_fit(data: Dataset) -> EstimateResult:
     Raises NumericalError where the coefficients or the residual sum of
     squares overflow.
     """
-    return _fit(data, dataset_svd(data), data.response)
+    return _fit(data, factors(data), data.response)
 
 
 def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
@@ -319,18 +360,7 @@ def leverage_scores(data: Dataset) -> np.ndarray:
     design this equals ``x_i' (X'X)^{-1} x_i`` and the scores sum to p.
     """
     # Projection diagonals live in [0, 1]; shave off rounding overshoot, in a copy.
-    return _freeze(np.clip(_kept_leverage(data), 0.0, 1.0))
-
-
-def _kept_leverage(data: Dataset) -> np.ndarray:
-    """Squared row norms of the first ``rank`` columns of U, unclipped:
-    computed at the first call, then kept on ``data``, frozen, beside its factors."""
-
-    def build():
-        U, _, _, rank = dataset_svd(data)
-        return _freeze(_squared_row_norms(U[:, :rank]))
-
-    return cached_on(data, "_leverage", build)
+    return _freeze(np.clip(factors(data).leverage, 0.0, 1.0))
 
 
 def _squared_row_norms(rows: np.ndarray, scale=None) -> np.ndarray:
@@ -360,25 +390,18 @@ def _squared_row_norms(rows: np.ndarray, scale=None) -> np.ndarray:
 
 def full_rank_leverage(data: Dataset, what: str) -> np.ndarray:
     """Leverage of every row, unclipped, of a full-column-rank design with no
-    all-zero row, as the frozen vector kept on ``data``; RankError or
-    DegenerateDistributionError naming ``what`` otherwise."""
-    s = full_rank_svd(data, what)[1]
-    lev = _kept_leverage(data)
-    reject_zero_rows(data.design, lev, s, what)
-    return lev
+    all-zero row, as the frozen vector kept with its factors; RankError or
+    DegenerateDistributionError naming ``what`` otherwise.
 
-
-def reject_zero_rows(design: np.ndarray, lev: np.ndarray, s: np.ndarray, what: str) -> None:
-    """DegenerateDistributionError naming ``what`` if ``design`` has an all-zero row.
-
-    ``lev`` is each row's leverage, or less, from the thin SVD of the
-    full-rank ``design`` with singular values ``s``. Only rows at or below
-    ``(n p eps cond)^2`` are scanned: a zero row's leverage is 0, except
-    for rounding noise where LAPACK pivots on it (one of the first p rows),
-    measured up to 7e-9 at cond 1e12 and always below 1/150 of the bound.
+    Only rows at or below ``(n p eps cond)^2`` are scanned for zeros: a zero
+    row's leverage is 0, except for rounding noise where LAPACK pivots on
+    it (one of the first p rows), measured up to 7e-9 at cond 1e12 and
+    always below 1/150 of the bound.
     """
-    n, p = design.shape
-    bound = (n * p * np.finfo(np.float64).eps * float(s[0] / s[-1])) ** 2
+    svd = factors(data).full_rank(what)
+    lev, s = svd.leverage, svd.s
+    bound = (data.n * data.p * np.finfo(np.float64).eps * float(s[0] / s[-1])) ** 2
     suspects = np.flatnonzero(lev <= bound)
-    if suspects.size and not design[suspects].any(axis=1).all():
+    if suspects.size and not data.design[suspects].any(axis=1).all():
         raise DegenerateDistributionError(f"{what} is undefined for all-zero design rows")
+    return lev

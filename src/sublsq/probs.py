@@ -15,10 +15,10 @@ Each raw weight vector is normalized by its sum exactly once. SLEV mixes
 two already-normalized vectors and is not renormalized again, which keeps
 its (1 - alpha)/n entrywise lower bound exact in floating point.
 
-BLEV, SLEV and RL read the leverage kept with the dataset's factorization,
-so they share one pass over the rows of U. The IC and PL weights are row
-norms of rows scaled column by column (U by ``s[-1] / s`` for IC, X by
-``2^-e`` for PL), the square roots of one ``einsum`` per block of
+BLEV, SLEV, RL and IC's all-zero-row check read the leverage kept with the
+dataset's factorization, one pass over the rows of U. The IC and PL weights
+are row norms of rows scaled column by column (U by ``s[-1] / s`` for IC, X
+by ``2^-e`` for PL), the square roots of one ``einsum`` per block of
 ``_ROW_BLOCK`` rows, each block scaled as one flat product: each row gets
 the bits of one call over all rows, and no n x p temporary is allocated.
 Each vector is normalized in its own memory, never in the kept leverage,
@@ -37,10 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Dataset, _freeze, _squared_row_norms, full_rank_leverage, full_rank_svd, one_of, pow2_exponent,
-    reject_zero_rows,
-)
+from .core import Dataset, _freeze, _squared_row_norms, factors, full_rank_leverage, one_of, pow2_exponent
 from .errors import DegenerateDistributionError, ValidationError
 
 SCHEMES = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")
@@ -136,18 +133,18 @@ def compute_probabilities(
         return _wrapped(_normalized(norms, "row-norm", out=norms), "PL")
 
     if scheme == "IC":
-        U, s, _ = full_rank_svd(data, "scheme IC")
+        full_rank_leverage(data, "scheme IC")  # all-zero rows would break the weighting later on
+        svd = factors(data)
         # Rows of X (X'X)^{-1} are the rows of U diag(1/s) V', and V' is
         # orthogonal, so the norms come straight from the scaled U rows. Scaling
         # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column
-        # scale, and keeps each squared norm at most the row's leverage.
-        squares = _squared_row_norms(U, s[-1] / s)
-        # all-zero rows would break the weighting later on
-        reject_zero_rows(data.design, squares, s, "scheme IC")
+        # scale, and keeps each squared norm at most the row's leverage, so
+        # the leverage's zero-row verdict is theirs.
+        squares = _squared_row_norms(svd.U, svd.s[-1] / svd.s)
         ic_raw = np.sqrt(squares, out=squares)
         return _wrapped(_normalized(ic_raw, "inverse-covariance", out=ic_raw), "IC")
 
-    lev = full_rank_leverage(data, f"scheme {scheme}")  # kept on data: never written
+    lev = full_rank_leverage(data, f"scheme {scheme}")  # kept with the factors: never written
     if scheme in ("BLEV", "SLEV"):
         blev = _normalized(lev, "leverage")
         if scheme == "BLEV":

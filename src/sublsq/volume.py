@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Dataset, _kept_leverage, dataset_svd, full_rank_leverage, full_rank_svd, one_of, subset_size
+from .core import Dataset, factors, full_rank_leverage, one_of, subset_size
 from .errors import CapacityError, DegenerateDistributionError, SamplingError, ValidationError
 from .rng import SeedLike, derive_rng
 
@@ -131,7 +131,7 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     if n > ENUMERATION_MAX_N:
         raise CapacityError(f"subset enumeration is capped at n={ENUMERATION_MAX_N}, got n={n}")
     r = subset_size(r, p, n)
-    U = full_rank_svd(data, "standard volume sampling")[0]
+    U = factors(data).full_rank("standard volume sampling").U
 
     subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
     log_denom = math.log(math.comb(n - p, r - p))
@@ -199,9 +199,9 @@ def _standard_draws(data: Dataset, r: int, rng: np.random.Generator, size: int) 
     Draws are taken ``max(1, _BLOCK // n)`` at a time, so each (draws, n)
     temporary holds at most ``_BLOCK`` floats; the cost is O(n p^2) a draw.
     """
-    U = full_rank_svd(data, "standard volume sampling")[0]
+    svd = factors(data).full_rank("standard volume sampling")
+    U, lev = svd.U, svd.leverage
     n, p = U.shape
-    lev = _kept_leverage(data)
     floor = _RESIDUAL_RTOL * lev
     step = max(1, _BLOCK // n)
     out = np.empty((size, r), dtype=np.intp)
@@ -242,8 +242,7 @@ def _leveraged_log_ratios(data: Dataset, inv_q: np.ndarray, proposals: np.ndarra
     the proposal allows, at any column scale. At most 0 up to rounding;
     -inf where the determinant vanishes.
     """
-    U = dataset_svd(data)[0]
-    return _gram_logdets(U, proposals, inv_q) - data.p * math.log(proposals.shape[1])
+    return _gram_logdets(factors(data).U, proposals, inv_q) - data.p * math.log(proposals.shape[1])
 
 
 def _leveraged_rejection(

@@ -23,7 +23,7 @@ from sublsq import (
     subsample_estimate,
     trace_amse,
 )
-from sublsq import asymptotics
+from sublsq import core
 from sublsq.asymptotics import TARGETS
 from sublsq.probs import SCHEMES
 from sublsq.rng import derive_rng
@@ -76,20 +76,55 @@ def test_avar_is_summed_over_row_blocks_without_an_n_by_p_temporary(n):
     np.testing.assert_allclose(av.matrix, expect, rtol=1e-10)
 
 
+def _counting_grams(monkeypatch):
+    """Wrap Factorization.weighted_gram; the list of the grams it returned.
+
+    A kept gram is returned as the same frozen array, so while the list
+    holds them the number of distinct arrays is the number of sums.
+    """
+    grams, kept = [], core.Factorization.weighted_gram
+
+    def counted(svd, probs):
+        grams.append(kept(svd, probs))
+        return grams[-1]
+
+    monkeypatch.setattr(core.Factorization, "weighted_gram", counted)
+    return grams
+
+
+def _sums(grams):
+    return len({id(g) for g in grams})
+
+
 def test_one_amse_analysis_sums_the_weighted_gram_once(monkeypatch):
     d = gaussian_dataset(31, 9_000, 4)
     pv = compute_probabilities(d, "IC")
-    sums, kept_svd = [], asymptotics.dataset_svd
-    # in avar_matrix and trace_amse, only the sum of U' diag(1/pi) U reads dataset_svd
-    monkeypatch.setattr(asymptotics, "dataset_svd", lambda data: sums.append(data) or kept_svd(data))
+    grams = _counting_grams(monkeypatch)
     avar_matrix(d, pv, 100, 1.0)
     for target in TARGETS:
         trace_amse(d, pv, 100, 1.0, target)
-    assert len(sums) == 1
+    assert len(grams) == 4 and _sums(grams) == 1
     for r in (10, 20, 40):  # G does not depend on r
         avar_matrix(d, pv, r, 2.0)
         trace_amse(d, pv, r, 2.0, "Xbeta")
-    assert len(sums) == 1
+    assert len(grams) == 10 and _sums(grams) == 1
+
+
+def test_a_vector_used_with_two_datasets_is_summed_once_per_dataset(monkeypatch):
+    first, second = gaussian_dataset(36, 300, 3), gaussian_dataset(37, 300, 3)
+    pv = compute_probabilities(first, "RAND")
+    grams = _counting_grams(monkeypatch)
+    for d in (first, second, first, second, first):
+        avar_matrix(d, pv, 20, 1.0)
+        trace_amse(d, pv, 20, 1.0, "beta")
+    assert len(grams) == 10 and _sums(grams) == 2
+    # the entry goes with its vector, and does not keep it alive
+    kept = core.factors(first)._grams
+    assert len(kept) == 1
+    ref = weakref.ref(pv)
+    del pv
+    gc.collect()
+    assert ref() is None and len(kept) == 0
 
 
 def test_kept_gram_belongs_to_its_dataset():

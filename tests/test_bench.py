@@ -55,6 +55,38 @@ def test_synthetic_spec_validation():
         SyntheticSpec(n=10, p=2, design_family="gaussian", beta0=(1,), noise_sd=1)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 10.5, "n must be an integer, got 10.5"),
+        ("n", True, "n must be an integer, got True"),
+        ("n", 0, "n=0 must be at least 1"),
+        ("p", 2.0, "p must be an integer, got 2.0"),
+        ("p", 0, "p=0 must be at least 1"),
+        ("noise_sd", math.inf, "noise_sd must be finite and nonnegative, got inf"),
+        ("noise_sd", math.nan, "noise_sd must be finite and nonnegative, got nan"),
+        ("noise_sd", -1.0, "noise_sd must be finite and nonnegative, got -1.0"),
+        ("beta0", (1.0, math.inf), "beta0 must be finite, got (1.0, inf)"),
+        ("beta0", (math.nan, 1.0), "beta0 must be finite, got (nan, 1.0)"),
+    ],
+)
+def test_synthetic_spec_names_each_bad_field(field, value, message):
+    # a float or bool n or p once passed, and generate_synthetic leaked
+    # numpy's TypeError; a non-finite noise_sd or beta0 was reported as a
+    # non-finite response
+    fields = dict(n=10, p=2, design_family="gaussian", beta0=(1.0, 1.0), noise_sd=1.0)
+    fields[field] = value
+    with pytest.raises(ValidationError) as caught:
+        SyntheticSpec(**fields)
+    assert str(caught.value) == message
+
+
+def test_finite_coefficients_that_overflow_the_response_are_a_dataset_error():
+    spec = SyntheticSpec(n=10, p=2, design_family="gaussian", beta0=(1e308, 1e308), noise_sd=1.0)
+    with pytest.raises(ValidationError, match="^response contains NaN or Inf entries$"):
+        generate_synthetic(spec, 0)
+
+
 def test_noiseless_data_identifies_coefficients():
     spec = SyntheticSpec(
         n=200, p=3, design_family="gaussian", beta0=(2.0, -1.0, 0.5), noise_sd=0.0

@@ -797,6 +797,25 @@ def test_simulate_student_t_with_a_non_finite_df_names_the_df(capsys, tmp_path, 
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--noise-sd", "inf"], "noise_sd must be finite and nonnegative, got inf"),
+        (["--noise-sd", "nan"], "noise_sd must be finite and nonnegative, got nan"),
+        (["--beta0", "1,inf"], "beta0 must be finite, got (1.0, inf)"),
+    ],
+)
+def test_simulate_with_a_non_finite_input_names_the_field(capsys, tmp_path, flags, line):
+    # once reported as "response contains NaN or Inf entries"
+    csv_path = tmp_path / "sim.csv"
+    code, out, err = _run(capsys, [
+        "simulate", "--family", "gaussian", "--n", "20", "--p", "2", *flags, "--output", str(csv_path),
+    ])
+    assert code == 1 and out == ""
+    assert err == f"sublsq: input error: {line}\n"
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("flags", [["--beta0", "1e308,1e308"], ["--noise-sd", "1e308"]])
 def test_simulate_overflow_raises_no_runtime_warning(capsys, tmp_path, recwarn, flags):
     # numpy once printed an overflow warning, with a source line, before the error message

@@ -9,6 +9,7 @@ import pytest
 
 from sublsq import (
     Dataset,
+    DegenerateDistributionError,
     NumericalError,
     RankError,
     ValidationError,
@@ -231,7 +232,8 @@ def test_cholesky_path_matches_lapack_svd(name):
     X = CHOLESKY_PATH_DESIGNS[name]()
     p = X.shape[1]
     assert core._cholesky_qr2_svd(X) is not None
-    U, s, Vt, rank = core.thin_svd(X)
+    svd = core.thin_svd(X)
+    U, s, Vt, rank = svd.U, svd.s, svd.Vt, svd.rank
     U0, s0, _ = np.linalg.svd(X, full_matrices=False)
     assert rank == p
     lev, lev0 = np.einsum("ij,ij->i", U, U), np.einsum("ij,ij->i", U0, U0)
@@ -257,7 +259,8 @@ FALLBACK_DESIGNS = {
 def test_declined_designs_get_lapack_svd_bits(name):
     X = FALLBACK_DESIGNS[name]()
     assert core._cholesky_qr2_svd(X) is None
-    U, s, Vt, _ = core.thin_svd(X)
+    svd = core.thin_svd(X)
+    U, s, Vt = svd.U, svd.s, svd.Vt
     U0, s0, Vt0 = np.linalg.svd(X, full_matrices=False)
     assert np.array_equal(U, U0) and np.array_equal(s, s0) and np.array_equal(Vt, Vt0)
 
@@ -355,8 +358,8 @@ def test_leverage_is_computed_once_per_dataset_and_kept_frozen(monkeypatch):
     scores = leverage_scores(data)
     volume_sample(data, 400, "leveraged", 0)
     assert calls == [None]
-    kept = core._kept_leverage(data)
-    U = core.dataset_svd(data)[0]
+    kept = core.factors(data).leverage
+    U = core.factors(data).U
     lev = np.einsum("ij,ij->i", U, U)
     # no consumer wrote into the kept vector, and leverage_scores clipped a copy
     assert not kept.flags.writeable and np.array_equal(kept, lev)
@@ -372,17 +375,30 @@ def _uniform(data):
     return compute_probabilities(data, "RAND")
 
 
-# Every consumer that needs a full-column-rank design, each through core.full_rank_svd.
+# Every consumer that needs a full-column-rank design, each through
+# Factorization.full_rank, with what its RankError names.
 FULL_RANK_CONSUMERS = {
     "avar_matrix": lambda d: avar_matrix(d, _uniform(d), 4, 1.0),
+    "sigma2_estimate": sigma2_estimate,
     "standard_volume_distribution": lambda d: standard_volume_distribution(d, 2),
     "leveraged_volume_distribution": lambda d: leveraged_volume_distribution(d, 2),
     "volume_sample_rejection": lambda d: volume_sample(d, 2, "leveraged", 0),
+    "volume_sample_standard": lambda d: volume_sample(d, 3, "standard", 0),
+}
+FULL_RANK_WHAT = {
+    "avar_matrix": "the asymptotic variance",
+    "sigma2_estimate": "noise estimation",
+    "standard_volume_distribution": "standard volume sampling",
+    "leveraged_volume_distribution": "leveraged volume sampling",
+    "volume_sample_rejection": "leveraged volume sampling",
+    "volume_sample_standard": "standard volume sampling",
 }
 for _s in ("BLEV", "SLEV", "IC", "RL"):
     FULL_RANK_CONSUMERS[f"probs_{_s}"] = lambda d, s=_s: compute_probabilities(d, s)
+    FULL_RANK_WHAT[f"probs_{_s}"] = f"scheme {_s}"
 for _t in TARGETS:
     FULL_RANK_CONSUMERS[f"trace_amse_{_t}"] = lambda d, t=_t: trace_amse(d, _uniform(d), 4, 1.0, t)
+    FULL_RANK_WHAT[f"trace_amse_{_t}"] = "the asymptotic MSE"
 
 
 @pytest.mark.filterwarnings("ignore:leveraged volume sampling is tuned")
@@ -390,10 +406,24 @@ for _t in TARGETS:
 def test_full_rank_consumers_reject_a_duplicated_column(name):
     x = np.random.default_rng(5).standard_normal(8)
     data = Dataset(design=np.column_stack([x, x]), response=np.zeros(8))
+    message = f"{FULL_RANK_WHAT[name]} requires a full-column-rank design (rank 1 < p=2)"
     # the second call reads the stored factorization, and must raise as well
     for _ in range(2):
-        with pytest.raises(RankError, match=r"full-column-rank design \(rank 1 < p=2\)"):
+        with pytest.raises(RankError) as caught:
             FULL_RANK_CONSUMERS[name](data)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("scheme", ["BLEV", "SLEV", "IC", "RL"])
+def test_leverage_schemes_name_themselves_for_an_all_zero_row(scheme):
+    # IC once ran its own zero-row check on its squared norms; every scheme
+    # now goes through full_rank_leverage, with the message unchanged
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    data = Dataset(design=X, response=np.zeros(4))
+    for _ in range(2):
+        with pytest.raises(DegenerateDistributionError) as caught:
+            compute_probabilities(data, scheme)
+        assert str(caught.value) == f"scheme {scheme} is undefined for all-zero design rows"
 
 
 @pytest.mark.parametrize(
@@ -491,11 +521,9 @@ def _counting_thin_svd(monkeypatch):
 # Every consumer of a dataset's factorization, each called on the dataset itself.
 FACTORIZATION_CONSUMERS = dict(
     FULL_RANK_CONSUMERS,
-    sigma2_estimate=sigma2_estimate,
     regularity_diagnostics=lambda d: regularity_diagnostics(d, _uniform(d), 4),
     leverage_scores=leverage_scores,
     ols_fit=ols_fit,
-    volume_sample_standard=lambda d: volume_sample(d, 3, "standard", 0),
     volume_sample_leveraged=lambda d: volume_sample(d, 3, "leveraged", 0),
 )
 
@@ -512,9 +540,9 @@ def test_every_consumer_shares_one_factorization(monkeypatch):
 def test_stored_factorization_is_bit_equal_to_a_fresh_one():
     data = gaussian_dataset(10, 40, 3)
     ols_fit(data)
-    stored, fresh = core.dataset_svd(data), core.thin_svd(data.design)
-    assert stored[3] == fresh[3] == 3
-    for got, want in zip(stored[:3], fresh[:3]):
+    stored, fresh = core.factors(data), core.thin_svd(data.design)
+    assert stored.rank == fresh.rank == 3
+    for got, want in ((stored.U, fresh.U), (stored.s, fresh.s), (stored.Vt, fresh.Vt)):
         assert np.array_equal(got, want) and not got.flags.writeable
 
 
@@ -523,10 +551,10 @@ def test_take_rows_does_not_inherit_the_factorization(monkeypatch):
     data = gaussian_dataset(11, 30, 3)
     leverage_scores(data)
     sub = data.take_rows(np.arange(20))
-    U, s, Vt, rank = core.dataset_svd(sub)
+    kept = core.factors(sub)
     assert calls == [(30, 3), (20, 3)]
     fresh = core.thin_svd(sub.design)
-    assert U.shape == (20, 3) and np.array_equal(U, fresh[0]) and np.array_equal(s, fresh[1])
+    assert kept.U.shape == (20, 3) and np.array_equal(kept.U, fresh.U) and np.array_equal(kept.s, fresh.s)
 
 
 @pytest.mark.parametrize(
@@ -555,7 +583,7 @@ def test_threads_racing_on_one_dataset_read_equal_factors():
     # compute it twice, and every consumer still sees correct factors.
     data = gaussian_dataset(13, 5_000, 4)
     consumers = {
-        "factors": lambda d: (core.dataset_svd(d)[1], np.square(core.dataset_svd(d)[0]).sum(axis=1)),
+        "factors": lambda d: (core.factors(d).s, np.square(core.factors(d).U).sum(axis=1)),
         "ols": lambda d: (ols_fit(d).beta,),
         "leverage": lambda d: (leverage_scores(d),),
         "blev": lambda d: (compute_probabilities(d, "BLEV").probs,),
@@ -573,7 +601,7 @@ def test_threads_racing_on_one_dataset_read_equal_factors():
     for name, arrays in zip(names, got):
         for a, b in zip(arrays, want[name]):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
-    assert core.dataset_svd(data) is core.dataset_svd(data)
+    assert core.factors(data) is core.factors(data)
 
 
 def test_value_types_own_their_arrays():

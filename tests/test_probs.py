@@ -147,8 +147,8 @@ def _root_squared_row_norms(S):
 
 
 def _ic_reference(data):
-    U, s, _ = core.full_rank_svd(data, "IC")
-    raw = _root_squared_row_norms(U * (s[-1] / s))
+    svd = core.factors(data).full_rank("IC")
+    raw = _root_squared_row_norms(svd.U * (svd.s[-1] / svd.s))
     return raw / raw.sum()
 
 
