@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, factors, ols_fit, one_of, subset_size
+from .core import Dataset, factors, ols_fit, one_of, set_fields, subset_size
 from .errors import NumericalError, ValidationError
 from .probs import ProbabilityVector
 
@@ -63,8 +63,7 @@ class AsymptoticVariance:
             raise ValidationError("matrix must be symmetric within 1e-10")
         if float(np.min(np.linalg.eigvalsh(m))) < -1e-10 * scale:
             raise ValidationError("matrix must be positive semi-definite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        set_fields(self, matrix=m)
 
     @property
     def trace(self) -> float:

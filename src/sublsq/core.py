@@ -13,11 +13,15 @@ consumers copy before they write, and each probability vector's
 ``full_rank_leverage`` the one check for full rank and all-zero rows.
 All functions are pure and thread-safe; returned arrays are frozen.
 
-``Dataset`` copies and checks its arrays once, at construction, so no
-caller's array is frozen or shared with it. ``take_rows`` checks
-only the row indices (``row_indices``): rows of checked arrays need no
-second check, so it freezes their fancy-indexed copies, bit for bit
-``Dataset(design[idx], response[idx])``, and they have no factors yet.
+Every frozen record of the package is filled by ``set_fields``. Its
+checked constructors copy and check what a caller gives them, once, so
+no caller's array is frozen or shared with it; ``trusted`` builds a
+record without them, from values the package computed that meet those
+checks by construction. So ``take_rows`` checks only the row indices
+(``row_indices``): rows of checked arrays need no second check, and
+their fancy-indexed copies are, bit for bit, ``Dataset(design[idx],
+response[idx])``, with no factors yet. A fit's ``EstimateResult`` holds
+the ``beta`` it has just checked.
 """
 
 from __future__ import annotations
@@ -45,6 +49,20 @@ _ROW_BLOCK = 4096  # rows per block of the per-row work on U or X: U itself, IC 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def set_fields(record, **fields):
+    """``record``, a frozen dataclass, with each field set and each array frozen."""
+    for name, value in fields.items():
+        object.__setattr__(record, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+    return record
+
+
+def trusted(cls, **fields):
+    """A ``cls`` record of every field given, without the constructor's copy
+    and checks: only for values the package computed that meet those checks
+    by construction, never for a caller's array."""
+    return set_fields(object.__new__(cls), **fields)
 
 
 def cached_on(obj, name: str, build):
@@ -134,8 +152,7 @@ class Dataset:
             raise ValidationError(
                 f"response length {response.shape[0]} does not match {n} design rows"
             )
-        object.__setattr__(self, "design", _freeze(design))
-        object.__setattr__(self, "response", _freeze(response))
+        set_fields(self, design=design, response=response)
 
     @property
     def n(self) -> int:
@@ -149,10 +166,7 @@ class Dataset:
         """Dataset restricted to the given rows (repeats allowed): a nonempty
         vector of integers in [0, n), ValidationError otherwise."""
         idx = row_indices(indices, self.n)
-        sub = object.__new__(Dataset)
-        object.__setattr__(sub, "design", _freeze(self.design[idx]))
-        object.__setattr__(sub, "response", _freeze(self.response[idx]))
-        return sub
+        return trusted(Dataset, design=self.design[idx], response=self.response[idx])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +182,7 @@ class EstimateResult:
     residual_ss: float
 
     def __post_init__(self):
-        beta = _as_finite_array(self.beta, "beta", ndim=1)
-        object.__setattr__(self, "beta", _freeze(beta))
+        set_fields(self, beta=_as_finite_array(self.beta, "beta", ndim=1))
         if self.residual_ss < 0:
             raise ValidationError("residual_ss must be nonnegative")
 
@@ -317,7 +330,7 @@ def _fit(data: Dataset, svd: Factorization, rhs: np.ndarray, weights=None) -> Es
         rss = float(resid @ resid if weights is None else weights @ np.square(resid, out=resid))
     if not np.isfinite(rss):
         raise NumericalError("the residual sum of squares overflows at this scale")
-    return EstimateResult(beta=beta, rank=rank, residual_ss=rss)
+    return trusted(EstimateResult, beta=beta, rank=rank, residual_ss=rss)
 
 
 def ols_fit(data: Dataset) -> EstimateResult:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, one_of, pow2_exponent, row_indices, subset_size
+from .core import Dataset, one_of, pow2_exponent, row_indices, set_fields, subset_size
 from .errors import SingularSubsetError, ValidationError
 
 CRITERIA = ("A", "D", "E")
@@ -81,9 +81,7 @@ class SubsetSelection:
     value: float
 
     def __post_init__(self):
-        idx = np.sort(row_indices(self.indices, distinct=True))
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
+        set_fields(self, indices=np.sort(row_indices(self.indices, distinct=True)))
 
 
 def _eigen_keys(evals: np.ndarray, criterion: str) -> np.ndarray:

@@ -22,8 +22,8 @@ by ``2^-e`` for PL), the square roots of one ``einsum`` per block of
 ``_ROW_BLOCK`` rows, each block scaled as one flat product: each row gets
 the bits of one call over all rows, and no n x p temporary is allocated.
 Each vector is normalized in its own memory, never in the kept leverage,
-and wrapped without the constructor's copy and checks, which it meets by
-construction. PL's ``2^-e`` puts max|X| in [0.5, 1), so at any scale of
+and built by ``core.trusted``, without the constructor's copy and checks,
+which it meets by construction. PL's ``2^-e`` puts max|X| in [0.5, 1), so at any scale of
 the design no square overflows, and only rows below about 1e-154 max|X|
 underflow; the product by a power of two is ``ldexp``'s, and exact on a
 normal-scale design, so there the probabilities keep their bits. Where
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _freeze, _squared_row_norms, factors, full_rank_leverage, one_of, pow2_exponent
+from .core import Dataset, _squared_row_norms, factors, full_rank_leverage, one_of, pow2_exponent, set_fields, trusted
 from .errors import DegenerateDistributionError, ValidationError
 
 SCHEMES = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")
@@ -66,8 +66,7 @@ class ProbabilityVector:
             raise ValidationError("probabilities must be finite and nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-10:
             raise ValidationError("probabilities must sum to 1 within 1e-10")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        set_fields(self, probs=probs)
 
     @property
     def n(self) -> int:
@@ -81,16 +80,6 @@ def _normalized(raw: np.ndarray, what: str, out=None) -> np.ndarray:
     if total <= 0:
         raise DegenerateDistributionError(f"all {what} weights are zero")
     return np.divide(raw, total, out=out)
-
-
-def _wrapped(probs: np.ndarray, scheme: str, alpha: float | None = None) -> ProbabilityVector:
-    """``probs``, a vector this module computed, frozen into a ProbabilityVector
-    without the constructor's copy and checks, which it meets by construction."""
-    out = object.__new__(ProbabilityVector)
-    object.__setattr__(out, "probs", _freeze(probs))
-    object.__setattr__(out, "scheme", scheme)
-    object.__setattr__(out, "alpha", alpha)
-    return out
 
 
 def slev_alpha(alpha: float | None) -> float:
@@ -118,11 +107,9 @@ def compute_probabilities(
         alpha = slev_alpha(alpha)
 
     n = data.n
-
     if scheme == "RAND":
-        return _wrapped(np.full(n, 1.0 / n), "RAND")
-
-    if scheme == "PL":
+        vector = np.full(n, 1.0 / n)
+    elif scheme == "PL":
         exponent = pow2_exponent(data.design)
         if exponent >= -1023:
             squares = _squared_row_norms(data.design, 2.0**-exponent)
@@ -130,9 +117,8 @@ def compute_probabilities(
             # 2^-e overflows: a subnormal-scale design
             squares = _squared_row_norms(np.ldexp(data.design, -exponent))
         norms = np.sqrt(squares, out=squares)
-        return _wrapped(_normalized(norms, "row-norm", out=norms), "PL")
-
-    if scheme == "IC":
+        vector = _normalized(norms, "row-norm", out=norms)
+    elif scheme == "IC":
         full_rank_leverage(data, "scheme IC")  # all-zero rows would break the weighting later on
         svd = factors(data)
         # Rows of X (X'X)^{-1} are the rows of U diag(1/s) V', and V' is
@@ -142,16 +128,14 @@ def compute_probabilities(
         # the leverage's zero-row verdict is theirs.
         squares = _squared_row_norms(svd.U, svd.s[-1] / svd.s)
         ic_raw = np.sqrt(squares, out=squares)
-        return _wrapped(_normalized(ic_raw, "inverse-covariance", out=ic_raw), "IC")
-
-    lev = full_rank_leverage(data, f"scheme {scheme}")  # kept with the factors: never written
-    if scheme in ("BLEV", "SLEV"):
-        blev = _normalized(lev, "leverage")
-        if scheme == "BLEV":
-            return _wrapped(blev, "BLEV")
-        blev *= alpha
-        blev += (1.0 - alpha) / n
-        return _wrapped(blev, "SLEV", alpha=alpha)
-
-    root = np.sqrt(lev)
-    return _wrapped(_normalized(root, "root-leverage", out=root), "RL")
+        vector = _normalized(ic_raw, "inverse-covariance", out=ic_raw)
+    elif scheme == "RL":
+        root = np.sqrt(full_rank_leverage(data, "scheme RL"))  # the kept leverage is never written
+        vector = _normalized(root, "root-leverage", out=root)
+    else:
+        vector = _normalized(full_rank_leverage(data, f"scheme {scheme}"), "leverage")
+        if scheme == "SLEV":
+            vector *= alpha
+            vector += (1.0 - alpha) / n
+    # alpha is None but for SLEV
+    return trusted(ProbabilityVector, probs=vector, scheme=scheme, alpha=alpha)

@@ -7,10 +7,10 @@ r cells needs the prefix sums but only r of the table's n entries, which
 ``_alias_cells`` finds by binary searches of them. ``alias_table_of``
 keeps a vector's table on it, for callers that draw many times from one
 vector; ``draw`` reads a kept table but keeps none itself, since a kept
-vector would hold it, 16 bytes per row, for life. ``draw`` skips the
-index checks of ``SubsampleDraw``, which its alias cells meet by
-construction, and keeps the check that drawn probabilities lie in (0, 1];
-that changes no draw. ``subsample_estimate`` then fits either a
+vector would hold it, 16 bytes per row, for life. ``draw`` builds its
+record by ``core.trusted``, without the index checks of ``SubsampleDraw``,
+which its alias cells meet by construction, and shares the constructor's
+check that drawn probabilities lie in (0, 1]. ``subsample_estimate`` then fits either a
 plain OLS on the drawn rows or a weighted LS with weights equal to the
 reciprocal drawn probabilities, which is the correction that keeps
 non-uniform schemes asymptotically unbiased for the full-sample estimator.
@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EstimateResult, cached_on, ols_fit, one_of, row_indices, subset_size, weighted_ls_fit
+from .core import (
+    Dataset, EstimateResult, cached_on, ols_fit, one_of, row_indices, set_fields, subset_size, trusted, weighted_ls_fit
+)
 from .errors import ValidationError
 from .probs import ProbabilityVector
 from .rng import SeedLike, derive_rng
@@ -60,21 +62,18 @@ class SubsampleDraw:
         dp = np.array(self.draw_probs, dtype=np.float64, order="C")
         if idx.shape != dp.shape:
             raise ValidationError("indices and draw_probs must be matching vectors")
-        _set_draw_arrays(self, idx, dp)
+        set_fields(self, indices=idx, draw_probs=_drawn(dp))
 
     @property
     def r(self) -> int:
         return self.indices.shape[0]
 
 
-def _set_draw_arrays(target: SubsampleDraw, idx: np.ndarray, dp: np.ndarray) -> None:
-    """Check that ``dp`` lies in (0, 1], then freeze both arrays into ``target``."""
+def _drawn(dp: np.ndarray) -> np.ndarray:
+    """``dp``, once it lies in (0, 1]; ValidationError otherwise."""
     if not (dp.min() > 0 and dp.max() <= 1):
         raise ValidationError("draw_probs must lie in (0, 1]")
-    idx.flags.writeable = False
-    dp.flags.writeable = False
-    object.__setattr__(target, "indices", idx)
-    object.__setattr__(target, "draw_probs", dp)
+    return dp
 
 
 def _small_threshold(n: int) -> float:
@@ -249,10 +248,7 @@ def draw(probs: ProbabilityVector, r: int, seed: SeedLike) -> SubsampleDraw:
         accept, alias = table or alias_table(probs.probs)
         accept, alias = accept[cells], alias[cells]
     indices = np.where(u < accept, cells, alias)
-    out = object.__new__(SubsampleDraw)
-    object.__setattr__(out, "seed", seed)
-    _set_draw_arrays(out, indices, probs.probs[indices])
-    return out
+    return trusted(SubsampleDraw, indices=indices, draw_probs=_drawn(probs.probs[indices]), seed=seed)
 
 
 def subsample_estimate(data: Dataset, draw: SubsampleDraw, mode: str) -> EstimateResult:

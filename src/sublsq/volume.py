@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Dataset, factors, full_rank_leverage, one_of, subset_size
+from .core import Dataset, factors, full_rank_leverage, one_of, set_fields, subset_size
 from .errors import CapacityError, DegenerateDistributionError, SamplingError, ValidationError
 from .rng import SeedLike, derive_rng
 
@@ -78,10 +78,7 @@ class SubsetDistribution:
             raise ValidationError("masses must be nonnegative")
         if abs(float(masses.sum()) - 1.0) > 1e-10:
             raise ValidationError("masses must sum to 1 within 1e-10")
-        subsets.flags.writeable = False
-        masses.flags.writeable = False
-        object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(self, "masses", masses)
+        set_fields(self, subsets=subsets, masses=masses)
 
 
 def _gram_logdets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:

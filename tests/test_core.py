@@ -28,12 +28,13 @@ from sublsq import (
     volume_sample,
     weighted_ls_fit,
 )
-from sublsq.asymptotics import TARGETS, regularity_diagnostics, sigma2_estimate
+from sublsq.asymptotics import TARGETS, AsymptoticVariance, regularity_diagnostics, sigma2_estimate
 from sublsq.optdesign import SubsetSelection, criterion_value
 from sublsq.probs import ProbabilityVector
 from sublsq.sampler import SubsampleDraw, alias_table_of
+from sublsq.volume import SubsetDistribution
 from sublsq.bench import SyntheticSpec, generate_synthetic
-from sublsq.core import _ROW_BLOCK, pow2_exponent
+from sublsq.core import _ROW_BLOCK, EstimateResult, pow2_exponent, trusted
 
 from conftest import gaussian_dataset
 
@@ -632,3 +633,50 @@ def test_pow2_exponent_finds_the_extreme_in_any_block(row, extreme):
     X[row, 1] = extreme
     assert pow2_exponent(X) == 2 == math.frexp(np.abs(X).max())[1]
     assert pow2_exponent(np.zeros((5, 2))) == pow2_exponent(np.full((5, 2), -0.0)) == 0
+
+
+def test_set_fields_freezes_each_array_and_trusted_keeps_it():
+    beta = np.array([1.0, 2.0])
+    fit = trusted(EstimateResult, beta=beta, rank=2, residual_ss=0.5)
+    assert fit.beta is beta and not beta.flags.writeable
+    assert (fit.rank, fit.residual_ss) == (2, 0.5)
+    with pytest.raises(AttributeError):
+        fit.rank = 1
+    # the checked constructors fill their copies through set_fields
+    data = gaussian_dataset(1, 6, 2)
+    records = (
+        data,
+        ols_fit(data),
+        ProbabilityVector([0.5, 0.5], "RAND"),
+        SubsampleDraw([1, 0], [0.5, 0.5], 3),
+        SubsetSelection([3, 1], "D", 0.0),
+        AsymptoticVariance(np.eye(2), 1.0, 5),
+        SubsetDistribution([[0], [1]], [0.5, 0.5]),
+    )
+    for record in records:
+        arrays = [value for value in vars(record).values() if isinstance(value, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("scheme", ["RAND", "BLEV", "SLEV", "IC", "RL", "PL"])
+def test_trusted_records_equal_the_checked_constructors(scheme):
+    # compute_probabilities, draw and the fits build their records without the
+    # constructors' copy and checks: each must be what the constructor builds
+    data = gaussian_dataset(4, 300, 3)
+    pv = compute_probabilities(data, scheme)
+    dr = draw(pv, 40, 9)
+    fit = weighted_ls_fit(data.take_rows(dr.indices), 1.0 / dr.draw_probs)
+    checked = (
+        ProbabilityVector(pv.probs, pv.scheme, pv.alpha),
+        SubsampleDraw(dr.indices, dr.draw_probs, dr.seed),
+        EstimateResult(fit.beta, fit.rank, fit.residual_ss),
+    )
+    for got, want in zip((pv, dr, fit), checked):
+        assert type(got) is type(want)
+        for name, value in vars(want).items():
+            kept = vars(got)[name]
+            if isinstance(value, np.ndarray):
+                assert kept.dtype == value.dtype and kept.flags.c_contiguous and not kept.flags.writeable
+                assert np.array_equal(kept, value)
+            else:
+                assert kept == value
