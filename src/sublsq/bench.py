@@ -72,6 +72,11 @@ __all__ = [
 ]
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is an int or a float, numpy's included, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic regression dataset.
@@ -92,10 +97,17 @@ class SyntheticSpec:
         one_of(self.design_family, DESIGN_FAMILIES, "design_family")
         subset_size(self.n, 1, what="n")
         subset_size(self.p, 1, what="p")
+        vector = isinstance(self.beta0, (tuple, list)) or isinstance(self.beta0, np.ndarray) and self.beta0.ndim == 1
+        if not vector or not all(map(_real, self.beta0)):
+            raise ValidationError(f"beta0 must be a vector of real numbers, got {self.beta0!r}")
         if len(self.beta0) != self.p:
             raise ValidationError(f"beta0 must have length p={self.p}")
         if not np.all(np.isfinite(self.beta0)):
             raise ValidationError(f"beta0 must be finite, got {self.beta0}")
+        if not _real(self.noise_sd):
+            raise ValidationError(f"noise_sd must be a real number, got {self.noise_sd!r}")
+        if self.df is not None and not _real(self.df):
+            raise ValidationError(f"df must be a real number, got {self.df!r}")
         if not 0 <= self.noise_sd < np.inf:
             raise ValidationError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if self.design_family == "student_t":
@@ -270,7 +282,7 @@ def run_emse(
     every bootstrap sample keeps the input's n and p. Empty or repeated
     ``methods`` or ``r_values`` raise before any replicate runs.
     """
-    methods = tuple(one_of(m.upper(), REGISTERED_METHODS, "method") for m in methods)
+    methods = tuple(one_of(m, REGISTERED_METHODS, "method", upper=True) for m in methods)
     r_values = tuple(subset_size(r, data.p) for r in r_values)
     for what, values in (("methods", methods), ("r_values", r_values)):
         if not values:

@@ -361,7 +361,7 @@ def _run_probs(args):
 
 def _run_subsample(args):
     data = _load_dataset(args, need_response=True)
-    scheme = one_of(args.scheme.upper(), SCHEMES, "scheme")
+    scheme = one_of(args.scheme, SCHEMES, "scheme", upper=True)
     fields, fit = bench_mod._prepared(scheme, data, args.alpha, None, args.mode, 1)(args.r, args.seed)
     est = fit()
     return {**fields, "beta": est.beta, "rank": est.rank, "residual_ss": est.residual_ss}, None

@@ -44,6 +44,8 @@ __all__ = [
 
 
 _ROW_BLOCK = 4096  # rows per block of the per-row work on U or X: U itself, IC and PL norms, U' Omega U
+_GEMV_ENTRIES = 8192  # entries of a matrix-vector product that OpenBLAS runs on one thread
+_FLOAT_BLOCK = 1 << 20  # floats per blocked temporary of exchange and volume sampling, 8 MB
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -72,9 +74,12 @@ def cached_on(obj, name: str, build):
     return obj.__dict__[name]
 
 
-def one_of(value, choices: tuple, what: str):
-    """``value`` if it is one of ``choices``; ValidationError naming ``what`` otherwise."""
-    if value not in choices:
+def one_of(value, choices: tuple, what: str, upper: bool = False):
+    """``value``, upper-cased where ``upper`` is set, if it is a string among
+    ``choices``; ValidationError naming ``what`` otherwise."""
+    if upper and isinstance(value, str):
+        value = value.upper()
+    if not isinstance(value, str) or value not in choices:
         raise ValidationError(f"{what} must be one of {choices}, got {value!r}")
     return value
 
@@ -185,6 +190,8 @@ class EstimateResult:
         set_fields(self, beta=_as_finite_array(self.beta, "beta", ndim=1))
         if self.residual_ss < 0:
             raise ValidationError("residual_ss must be nonnegative")
+        if not np.isfinite(self.residual_ss):
+            raise ValidationError("residual_ss must be finite")
 
 
 def _rank_tolerance(s: np.ndarray, n: int, p: int) -> float:
@@ -310,24 +317,48 @@ def factors(data: Dataset) -> Factorization:
     return cached_on(data, "_factors", lambda: thin_svd(data.design))
 
 
-def _fit(data: Dataset, svd: Factorization, rhs: np.ndarray, weights=None) -> EstimateResult:
+def _project(U: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``U' rhs``, summed in an order the code fixes, at any BLAS thread count.
+
+    OpenBLAS splits a long ``gemv`` between threads along its sum, but runs
+    one of fewer than ``2304 * GEMM_MULTITHREAD_THRESHOLD`` entries (9,216
+    in its default build) on one thread. So the rows go in blocks of
+    ``_GEMV_ENTRIES // p``, one ``gemv`` each within one batched ``matmul``,
+    and the block sums are added in order to the remainder's. ``einsum``
+    calls no BLAS, but took twice the ``gemv``'s time at 5,000 x 10.
+    """
+    n, p = U.shape
+    rows = max(1, _GEMV_ENTRIES // p)
+    whole = n - n % rows
+    out = U[whole:].T @ rhs[whole:]
+    if whole:
+        blocks = U[:whole].reshape(-1, rows, p).transpose(0, 2, 1) @ rhs[:whole].reshape(-1, rows, 1)
+        out += np.add.reduce(blocks[:, :, 0], axis=0)
+    return out
+
+
+def _fit(svd: Factorization, rhs: np.ndarray) -> EstimateResult:
     """Minimum-norm least-squares fit of ``rhs`` on the design whose ``thin_svd`` is ``svd``.
 
-    That design and ``rhs`` are those of ``data``, scaled by the square
-    roots of ``weights`` where given; ``rank`` is the numerical rank used,
-    and ``residual_ss`` the (weighted) residual sum of squares on ``data``.
-    NumericalError where the coefficients or that sum are not finite;
-    numpy's overflow warnings are silenced, since that raises.
+    ``rank`` is the numerical rank used. ``residual_ss`` is the squared
+    norm of ``rhs`` less its projection ``U_r U_r' rhs`` on the first
+    ``rank`` columns of U, the fit's residual sum of squares; U is read
+    twice and the design not at all. Every sum over the n rows runs in one
+    order at any BLAS thread count: ``U_r' rhs`` in ``_project``'s blocks,
+    each entry of ``U_r (U_r' rhs)`` over rank terms, and the residual sum
+    in an ``einsum``. NumericalError where the coefficients or that sum are
+    not finite; numpy's overflow warnings are silenced, since that raises.
     """
-    U, s, Vt, rank = svd.U, svd.s, svd.Vt, svd.rank
+    rank = svd.rank
     with np.errstate(over="ignore", invalid="ignore"):
+        coef = _project(svd.U, rhs)[:rank]
         # rank 0 (an all-zero design) gives the zero vector
-        beta = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / s[:rank])
+        beta = svd.Vt[:rank].T @ (coef / svd.s[:rank])
         if not np.all(np.isfinite(beta)):
             raise NumericalError("the least-squares coefficients overflow at this scale")
-        resid = data.design @ beta
-        np.subtract(data.response, resid, out=resid)  # one n-vector, not two
-        rss = float(resid @ resid if weights is None else weights @ np.square(resid, out=resid))
+        resid = svd.U[:, :rank] @ coef
+        np.subtract(rhs, resid, out=resid)  # one n-vector, not two
+        rss = float(np.einsum("i,i->", resid, resid))
     if not np.isfinite(rss):
         raise NumericalError("the residual sum of squares overflows at this scale")
     return trusted(EstimateResult, beta=beta, rank=rank, residual_ss=rss)
@@ -342,7 +373,7 @@ def ols_fit(data: Dataset) -> EstimateResult:
     Raises NumericalError where the coefficients or the residual sum of
     squares overflow.
     """
-    return _fit(data, factors(data), data.response)
+    return _fit(factors(data), data.response)
 
 
 def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
@@ -362,7 +393,7 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     if np.any(w <= 0):
         raise ValidationError("weights must be strictly positive")
     sw = np.sqrt(w)
-    return _fit(data, thin_svd(data.design * sw[:, None]), data.response * sw, w)
+    return _fit(thin_svd(data.design * sw[:, None]), data.response * sw)
 
 
 def leverage_scores(data: Dataset) -> np.ndarray:

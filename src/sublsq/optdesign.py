@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _FLOAT_BLOCK as _SWAP_BLOCK  # closed-form swap keys scored at once
 from .core import Dataset, one_of, pow2_exponent, row_indices, set_fields, subset_size
 from .errors import SingularSubsetError, ValidationError
 
@@ -69,7 +70,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-_SWAP_BLOCK = 1 << 20  # closed-form swap keys scored at once, 8 MB per temporary
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,12 +23,12 @@ by ``2^-e`` for PL), the square roots of one ``einsum`` per block of
 the bits of one call over all rows, and no n x p temporary is allocated.
 Each vector is normalized in its own memory, never in the kept leverage,
 and built by ``core.trusted``, without the constructor's copy and checks,
-which it meets by construction. PL's ``2^-e`` puts max|X| in [0.5, 1), so at any scale of
-the design no square overflows, and only rows below about 1e-154 max|X|
-underflow; the product by a power of two is ``ldexp``'s, and exact on a
-normal-scale design, so there the probabilities keep their bits. Where
-``2^-e`` is no double (e < -1023, a design of subnormal scale), PL
-rescales the whole design by ``ldexp``, an n x p temporary.
+which it meets by construction. PL's ``2^-e`` puts max|X| in [0.5, 1), so
+at any scale of the design no square overflows, and only rows below about
+1e-154 max|X| underflow; the product by a power of two is ``ldexp``'s,
+and exact on a normal-scale design, so there the probabilities keep their
+bits. Where ``2^-e`` is no double (e < -1023, a design of subnormal
+scale), PL rescales the whole design by ``ldexp``, an n x p temporary.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def compute_probabilities(
     are rejected for the leverage-based schemes rather than smoothed;
     choose SLEV when a lower bound on the probabilities is needed.
     """
-    scheme = one_of(scheme.upper(), SCHEMES, "scheme")
+    scheme = one_of(scheme, SCHEMES, "scheme", upper=True)
     if scheme != "SLEV" and alpha is not None:
         raise ValidationError("alpha is only meaningful for SLEV")
     if scheme == "SLEV":

@@ -10,10 +10,11 @@ vector; ``draw`` reads a kept table but keeps none itself, since a kept
 vector would hold it, 16 bytes per row, for life. ``draw`` builds its
 record by ``core.trusted``, without the index checks of ``SubsampleDraw``,
 which its alias cells meet by construction, and shares the constructor's
-check that drawn probabilities lie in (0, 1]. ``subsample_estimate`` then fits either a
-plain OLS on the drawn rows or a weighted LS with weights equal to the
-reciprocal drawn probabilities, which is the correction that keeps
-non-uniform schemes asymptotically unbiased for the full-sample estimator.
+check that drawn probabilities lie in (0, 1]. ``subsample_estimate`` then
+fits either a plain OLS on the drawn rows or a weighted LS with weights
+equal to the reciprocal drawn probabilities, which is the correction that
+keeps non-uniform schemes asymptotically unbiased for the full-sample
+estimator.
 
 Draws are a pure function of (probabilities, r, seed): the same triple is
 bit-identical no matter where or when it runs.

@@ -39,6 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .core import _FLOAT_BLOCK as _BLOCK  # index-gathered floats per block
 from .core import Dataset, factors, full_rank_leverage, one_of, set_fields, subset_size
 from .errors import CapacityError, DegenerateDistributionError, SamplingError, ValidationError
 from .rng import SeedLike, derive_rng
@@ -53,7 +54,6 @@ __all__ = [
 VARIANTS = ("standard", "leveraged")
 ENUMERATION_MAX_N = 20
 LEVERAGED_ENUMERATION_LIMIT = 2_000_000
-_BLOCK = 1 << 20  # index-gathered floats per block, 8 MB, as optdesign._SWAP_BLOCK
 _REJECTION_PROPOSAL_BUDGET = 5_000_000
 _RESIDUAL_RTOL = 2.0**-40  # a residual leverage at most this share of the row's leverage is rounding
 
@@ -78,6 +78,8 @@ class SubsetDistribution:
             raise ValidationError("masses must be nonnegative")
         if abs(float(masses.sum()) - 1.0) > 1e-10:
             raise ValidationError("masses must sum to 1 within 1e-10")
+        if not np.all(np.isfinite(masses)):
+            raise ValidationError("masses must be finite")
         set_fields(self, subsets=subsets, masses=masses)
 
 

@@ -81,6 +81,24 @@ def test_synthetic_spec_names_each_bad_field(field, value, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("beta0", ("a", "b"), "beta0 must be a vector of real numbers, got ('a', 'b')"),
+        ("beta0", 1.0, "beta0 must be a vector of real numbers, got 1.0"),
+        ("noise_sd", "1", "noise_sd must be a real number, got '1'"),
+        ("df", "5", "df must be a real number, got '5'"),
+    ],
+)
+def test_synthetic_spec_rejects_a_field_of_the_wrong_type(field, value, message):
+    # each of these once leaked a TypeError from len(), isfinite or a comparison
+    fields = dict(n=10, p=2, design_family="student_t", beta0=(1.0, 1.0), noise_sd=1.0, df=5.0)
+    fields[field] = value
+    with pytest.raises(ValidationError) as caught:
+        SyntheticSpec(**fields)
+    assert str(caught.value) == message
+
+
 def test_finite_coefficients_that_overflow_the_response_are_a_dataset_error():
     spec = SyntheticSpec(n=10, p=2, design_family="gaussian", beta0=(1e308, 1e308), noise_sd=1.0)
     with pytest.raises(ValidationError, match="^response contains NaN or Inf entries$"):
@@ -233,6 +251,13 @@ def test_t5_line_emse_records_are_pinned():
     for rec in report.records:
         h.update(f"{rec.method} {rec.r} {rec.emse:.12e} {rec.emse_sd:.12e} {rec.n_ok} {rec.n_failed}\n".encode())
     assert h.hexdigest() == "adaa9adef9521e359e9be6990432eda8ace35eb26deda99c554cabf85d714f56"
+
+
+def test_run_emse_rejects_a_method_that_is_no_string():
+    # None.upper() once leaked an AttributeError
+    data = generate_synthetic(t5_line_spec(50), 0)
+    with pytest.raises(ValidationError, match=r"^method must be one of \(.*\), got None$"):
+        run_emse(data, [None], [10], reps=2)
 
 
 def test_run_emse_validation():

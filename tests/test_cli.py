@@ -3,11 +3,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sublsq
 import sublsq.bench as bench_mod
 import sublsq.sampler as sampler_mod
 from sublsq.bench import (
@@ -826,3 +830,41 @@ def test_simulate_overflow_raises_no_runtime_warning(capsys, tmp_path, recwarn, 
     assert code == 1 and out == ""
     assert "input error: response contains NaN or Inf entries" in err
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+# Runs each command on the CSV in argv[1] in one process, whose BLAS threads
+# are fixed when numpy loads.
+_THREAD_CHILD = """
+import sys
+from sublsq.cli import main
+for command in sys.argv[2:]:
+    main(command.split() + ["--input", sys.argv[1], "--response", "y"])
+"""
+
+
+def test_output_is_the_same_at_any_blas_thread_count(capsys, tmp_path):
+    # a fit's sums over n once went through gemv and ddot, which split them
+    # between threads: fit and amse printed other bytes at 1 and 2 threads
+    csv_path = tmp_path / "tall.csv"
+    argv = ["simulate", "--family", "student_t", "--df", "3", "--n", "100000", "--p", "10"]
+    assert main(argv + ["--output", str(csv_path)]) == 0
+    capsys.readouterr()
+    commands = [
+        "fit",
+        "fit --intercept",
+        "amse --scheme ic --r 500",
+        "subsample --scheme blev --r 500",
+        "probs --scheme ic",
+        "select --method iboss --r 500",
+        "bench --methods OLS,BLEV,IC --reps 2 --r 100",
+    ]
+    src = str(Path(sublsq.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2", "4"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = [sys.executable, "-c", _THREAD_CHILD, str(csv_path), *commands]
+        done = subprocess.run(child, env=env, capture_output=True, timeout=300, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0].count(b'"schema_version"') == len(commands)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -680,3 +680,20 @@ def test_trusted_records_equal_the_checked_constructors(scheme):
                 assert np.array_equal(kept, value)
             else:
                 assert kept == value
+
+
+def test_estimate_result_rejects_a_residual_sum_that_is_not_finite():
+    # NaN passed the sign check, and so did inf
+    for rss in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^residual_ss must be finite$"):
+            EstimateResult(beta=[1.0], rank=1, residual_ss=rss)
+    with pytest.raises(ValidationError, match="^residual_ss must be nonnegative$"):
+        EstimateResult(beta=[1.0], rank=1, residual_ss=-math.inf)
+
+
+def test_subset_distribution_rejects_masses_that_are_not_finite():
+    # a NaN mass passed the sign and sum checks
+    with pytest.raises(ValidationError, match="^masses must be finite$"):
+        SubsetDistribution(subsets=[[0]], masses=[math.nan])
+    with pytest.raises(ValidationError, match="^masses must sum to 1 within 1e-10$"):
+        SubsetDistribution(subsets=[[0]], masses=[math.inf])

@@ -251,6 +251,13 @@ def test_alpha_validation():
         compute_probabilities(d, "nope")
 
 
+@pytest.mark.parametrize("scheme", [None, 1])
+def test_a_scheme_that_is_no_string_is_a_validation_error(scheme):
+    # scheme.upper() once leaked an AttributeError
+    with pytest.raises(ValidationError, match=rf"^scheme must be one of \(.*\), got {scheme}$"):
+        compute_probabilities(gaussian_dataset(1, 20, 2), scheme)
+
+
 def test_probability_vector_validation():
     with pytest.raises(ValidationError):
         ProbabilityVector(np.array([0.5, 0.4]), "RAND")  # does not sum to 1
