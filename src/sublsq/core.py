@@ -44,7 +44,8 @@ __all__ = [
 
 
 _ROW_BLOCK = 4096  # rows per block of the per-row work on U or X: U itself, IC and PL norms, U' Omega U
-_GEMV_ENTRIES = 8192  # entries of a matrix-vector product that OpenBLAS runs on one thread
+_GEMV_ENTRIES = 8192  # entries of a gemv OpenBLAS runs on one thread: below 2304 * GEMM_MULTITHREAD_THRESHOLD
+_GEMM_MADDS = 1 << 18  # m n k of a gemm OpenBLAS runs on one thread: 65,536 * GEMM_MULTITHREAD_THRESHOLD
 _FLOAT_BLOCK = 1 << 20  # floats per blocked temporary of exchange and volume sampling, 8 MB
 
 
@@ -225,7 +226,7 @@ def _cholesky_qr2_svd(design: np.ndarray):
     if n < CHOLQR_MIN_ASPECT * p or n * p < CHOLQR_MIN_ENTRIES:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = design.T @ design
+        gram = _row_products(design, design)
     if not np.all(np.isfinite(gram)):
         return None
     try:
@@ -233,7 +234,7 @@ def _cholesky_qr2_svd(design: np.ndarray):
         if np.linalg.cond(r1) > CHOLQR_MAX_COND:
             return None
         q1 = design @ np.linalg.inv(r1)
-        r2 = np.linalg.cholesky(q1.T @ q1).T
+        r2 = np.linalg.cholesky(_row_products(q1, q1)).T
     except np.linalg.LinAlgError:
         return None
     ur, s, Vt = np.linalg.svd(r2 @ r1)
@@ -288,12 +289,10 @@ class Factorization:
         grams = cached_on(self, "_grams", weakref.WeakKeyDictionary)
         gram = grams.get(probs)
         if gram is None:
-            U, pi = self.U, probs.probs
-            gram = np.zeros((U.shape[1], U.shape[1]))
+            U, pi, rows = self.U, probs.probs, _ROW_BLOCK
             with np.errstate(over="ignore", invalid="ignore"):  # the callers check their results
-                for lo in range(0, U.shape[0], _ROW_BLOCK):
-                    block = U[lo : lo + _ROW_BLOCK]
-                    gram += block.T @ (block / pi[lo : lo + _ROW_BLOCK, None])
+                gram = sum(_row_products(U[lo : lo + rows], U[lo : lo + rows] / pi[lo : lo + rows, None])
+                           for lo in range(0, U.shape[0], rows))
             grams[probs] = gram = _freeze(gram)
         return gram
 
@@ -317,41 +316,42 @@ def factors(data: Dataset) -> Factorization:
     return cached_on(data, "_factors", lambda: thin_svd(data.design))
 
 
-def _project(U: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``U' rhs``, summed in an order the code fixes, at any BLAS thread count.
-
-    OpenBLAS splits a long ``gemv`` between threads along its sum, but runs
-    one of fewer than ``2304 * GEMM_MULTITHREAD_THRESHOLD`` entries (9,216
-    in its default build) on one thread. So the rows go in blocks of
-    ``_GEMV_ENTRIES // p``, one ``gemv`` each within one batched ``matmul``,
-    and the block sums are added in order to the remainder's. ``einsum``
-    calls no BLAS, but took twice the ``gemv``'s time at 5,000 x 10.
+def _row_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A' B`` (``B`` an n-vector or n x q), summed over the rows in one
+    order at any BLAS thread count: OpenBLAS splits a product along its sum
+    unless it is a ``gemv`` of under ``_GEMV_ENTRIES`` entries or a ``gemm``
+    of at most ``_GEMM_MADDS`` multiply-adds (its default build). So the rows
+    go in blocks of ``min(_GEMV_ENTRIES // p, _GEMM_MADDS // (p q))``, one
+    product each in a batched ``matmul``, over groups of blocks whose products
+    hold at most ``_FLOAT_BLOCK`` floats, and the group sums are added in order
+    to the remainder's. ``einsum`` calls no BLAS, but took twice the time.
     """
-    n, p = U.shape
-    rows = max(1, _GEMV_ENTRIES // p)
-    whole = n - n % rows
-    out = U[whole:].T @ rhs[whole:]
-    if whole:
-        blocks = U[:whole].reshape(-1, rows, p).transpose(0, 2, 1) @ rhs[:whole].reshape(-1, rows, 1)
-        out += np.add.reduce(blocks[:, :, 0], axis=0)
+    n, p = A.shape
+    q = B.shape[1] if B.ndim == 2 else 1
+    rows = max(1, min(_GEMV_ENTRIES // p, _GEMM_MADDS // (p * q)))
+    whole, group = n - n % rows, max(1, _FLOAT_BLOCK // (p * q))
+    out = A[whole:].T @ B[whole:]
+    blocks = A[:whole].reshape(-1, rows, p).transpose(0, 2, 1)
+    rhs = B[:whole].reshape(-1, rows, q)
+    for lo in range(0, blocks.shape[0], group):
+        out += np.add.reduce(blocks[lo : lo + group] @ rhs[lo : lo + group], axis=0).reshape(out.shape)
     return out
 
 
 def _fit(svd: Factorization, rhs: np.ndarray) -> EstimateResult:
     """Minimum-norm least-squares fit of ``rhs`` on the design whose ``thin_svd`` is ``svd``.
 
-    ``rank`` is the numerical rank used. ``residual_ss`` is the squared
-    norm of ``rhs`` less its projection ``U_r U_r' rhs`` on the first
-    ``rank`` columns of U, the fit's residual sum of squares; U is read
-    twice and the design not at all. Every sum over the n rows runs in one
-    order at any BLAS thread count: ``U_r' rhs`` in ``_project``'s blocks,
-    each entry of ``U_r (U_r' rhs)`` over rank terms, and the residual sum
-    in an ``einsum``. NumericalError where the coefficients or that sum are
-    not finite; numpy's overflow warnings are silenced, since that raises.
+    ``rank`` is the numerical rank used; ``residual_ss`` the squared norm of
+    ``rhs`` less its projection ``U_r U_r' rhs`` on the first ``rank`` columns
+    of U, which is read twice, and the design not at all. Every sum over the
+    n rows runs in one order at any BLAS thread count: ``U_r' rhs`` by
+    ``_row_products``, each entry of ``U_r (U_r' rhs)`` over rank terms, the
+    residual sum by ``einsum``. NumericalError where the coefficients or that
+    sum are not finite; numpy's overflow warnings are silenced, since that raises.
     """
     rank = svd.rank
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = _project(svd.U, rhs)[:rank]
+        coef = _row_products(svd.U, rhs)[:rank]
         # rank 0 (an all-zero design) gives the zero vector
         beta = svd.Vt[:rank].T @ (coef / svd.s[:rank])
         if not np.all(np.isfinite(beta)):

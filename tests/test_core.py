@@ -270,12 +270,13 @@ def test_declined_designs_get_lapack_svd_bits(name):
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 12289])
 def test_cholesky_path_forms_u_with_the_bits_of_one_product(monkeypatch, n, p):
     # U is written over Q1 in row blocks, the last one a row past a multiple
-    # of the block at n = 4097 and 12289; every row keeps its bits
+    # of the block at n = 4097 and 12289; every row keeps its bits. Both
+    # Grams are summed by the one kernel of every product over the rows.
     monkeypatch.setattr(core, "CHOLQR_MIN_ENTRIES", 0)  # so the p = 2 designs take the path too
     X = _student_t(n + p, n, p)
-    r1 = np.linalg.cholesky(X.T @ X).T
+    r1 = np.linalg.cholesky(core._row_products(X, X)).T
     q1 = X @ np.linalg.inv(r1)
-    r2 = np.linalg.cholesky(q1.T @ q1).T
+    r2 = np.linalg.cholesky(core._row_products(q1, q1)).T
     ur, _, _ = np.linalg.svd(r2 @ r1)
     U = core._cholesky_qr2_svd(X)[0]
     assert np.array_equal(U, q1 @ (np.linalg.inv(r2) @ ur))
