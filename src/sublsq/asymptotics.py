@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, factors, ols_fit, one_of, set_fields, subset_size
+from .core import Dataset, _real, factors, ols_fit, one_of, set_fields, subset_size
 from .errors import NumericalError, ValidationError
 from .probs import ProbabilityVector
 
@@ -95,7 +95,7 @@ def _paired(probs: ProbabilityVector, n: int, r: int) -> tuple[np.ndarray, int]:
 def _checked_r(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> int:
     """r as an int, once r, sigma2 and pi > 0, the inputs of Omega = diag(1 / (r pi)), are checked."""
     pi, r = _paired(probs, n, r)
-    if not sigma2 > 0 or not np.isfinite(sigma2):
+    if not _real(sigma2) or not 0 < sigma2 < np.inf:
         raise ValidationError(f"sigma2 must be a positive real, got {sigma2}")
     if np.any(pi <= 0):
         raise ValidationError(

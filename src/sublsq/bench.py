@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, ols_fit, one_of, subset_size
+from .core import Dataset, _real, factors, ols_fit, one_of, subset_size, weighted_ls_fit
 from .errors import NumericalError, ValidationError
 from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_select
 from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities, slev_alpha
@@ -70,11 +70,6 @@ __all__ = [
     "default_r_grid",
     "run_emse",
 ]
-
-
-def _real(value) -> bool:
-    """Whether ``value`` is an int or a float, numpy's included, and not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -195,7 +190,9 @@ def _prepared(method: str, data: Dataset, alpha, criterion, mode, draws: int):
     ``pick(r, key) -> (fields, fit)``: the output fields at r, rows under
     ``"indices"``, and a no-argument fit of them. A scheme draws with ``key``
     and fits in ``mode`` (None: plain on RAND, else weighted); a selection is
-    seeded with ``key`` and fit by OLS on its rows.
+    seeded with ``key`` and fit by OLS on its rows, but LEVVOL's rows by least
+    squares weighted by 1/q, q = leverage/p, its unbiased estimator
+    (Derezinski, Warmuth and Hsu, 2018), from the kept leverage.
     """
     if method == "OLS":
         fit = ols_fit(data)
@@ -203,7 +200,10 @@ def _prepared(method: str, data: Dataset, alpha, criterion, mode, draws: int):
     if method in SELECTIONS:
         def pick(r, key):
             fields = SELECTIONS[method](data, r, key, criterion)
-            return fields, lambda: ols_fit(data.take_rows(fields["indices"]))
+            rows = fields["indices"]
+            if method == "LEVVOL":
+                return fields, lambda: weighted_ls_fit(data.take_rows(rows), data.p / factors(data).leverage[rows])
+            return fields, lambda: ols_fit(data.take_rows(rows))
 
         return pick
     pv = compute_probabilities(data, method, alpha)

@@ -99,6 +99,12 @@ def subset_size(r, low: int, high: float = np.inf, what: str = "subset size r") 
     return int(r)
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is an int or a float, numpy's included, and not a bool:
+    the one rule for every real-number argument."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def pow2_exponent(a: np.ndarray) -> int:
     """The exponent e that puts ``max|a| * 2^-e`` in [0.5, 1); 0 where ``a`` is all zero.
 
@@ -188,11 +194,17 @@ class EstimateResult:
     residual_ss: float
 
     def __post_init__(self):
-        set_fields(self, beta=_as_finite_array(self.beta, "beta", ndim=1))
+        beta = _as_finite_array(self.beta, "beta", ndim=1)
+        rank = subset_size(self.rank, 0, what="rank")
+        if rank > beta.size:
+            raise ValidationError(f"rank={rank} exceeds len(beta)={beta.size}")
+        if not _real(self.residual_ss):
+            raise ValidationError(f"residual_ss must be a real number, got {self.residual_ss!r}")
         if self.residual_ss < 0:
             raise ValidationError("residual_ss must be nonnegative")
         if not np.isfinite(self.residual_ss):
             raise ValidationError("residual_ss must be finite")
+        set_fields(self, beta=beta, rank=rank)
 
 
 def _rank_tolerance(s: np.ndarray, n: int, p: int) -> float:
@@ -321,20 +333,24 @@ def _row_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     order at any BLAS thread count: OpenBLAS splits a product along its sum
     unless it is a ``gemv`` of under ``_GEMV_ENTRIES`` entries or a ``gemm``
     of at most ``_GEMM_MADDS`` multiply-adds (its default build). So the rows
-    go in blocks of ``min(_GEMV_ENTRIES // p, _GEMM_MADDS // (p q))``, one
-    product each in a batched ``matmul``, over groups of blocks whose products
-    hold at most ``_FLOAT_BLOCK`` floats, and the group sums are added in order
-    to the remainder's. ``einsum`` calls no BLAS, but took twice the time.
+    go in blocks of ``_GEMV_ENTRIES // p``, and B in tiles of as many columns
+    as keep one block's product within ``_GEMM_MADDS``; per tile, one product
+    a block in a batched ``matmul``, over groups of blocks whose products hold
+    at most ``_FLOAT_BLOCK`` floats, the group sums added in order to the
+    remainder's. ``einsum`` calls no BLAS, but took twice the time.
     """
     n, p = A.shape
-    q = B.shape[1] if B.ndim == 2 else 1
-    rows = max(1, min(_GEMV_ENTRIES // p, _GEMM_MADDS // (p * q)))
+    q, rows = B.size // n, max(1, _GEMV_ENTRIES // p)
+    cols = max(1, _GEMM_MADDS // (p * rows))
+    if q > cols:
+        return np.concatenate([_row_products(A, B[:, j : j + cols]) for j in range(0, q, cols)], axis=1)
     whole, group = n - n % rows, max(1, _FLOAT_BLOCK // (p * q))
     out = A[whole:].T @ B[whole:]
-    blocks = A[:whole].reshape(-1, rows, p).transpose(0, 2, 1)
-    rhs = B[:whole].reshape(-1, rows, q)
-    for lo in range(0, blocks.shape[0], group):
-        out += np.add.reduce(blocks[lo : lo + group] @ rhs[lo : lo + group], axis=0).reshape(out.shape)
+    if whole:
+        blocks = A[:whole].reshape(-1, rows, p).transpose(0, 2, 1)
+        rhs = B[:whole].reshape(-1, rows, q)
+        for lo in range(0, blocks.shape[0], group):
+            out += np.add.reduce(blocks[lo : lo + group] @ rhs[lo : lo + group], axis=0).reshape(out.shape)
     return out
 
 
@@ -383,7 +399,7 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     solving the resulting ordinary problem, which is numerically stabler
     than forming the weight matrix. All weights must be strictly positive
     and finite. ``residual_ss`` is the minimized weighted objective;
-    NumericalError where it or the coefficients overflow.
+    NumericalError where it, the coefficients or the rescaled design overflow.
     """
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.shape[0] != data.n:
@@ -393,7 +409,11 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     if np.any(w <= 0):
         raise ValidationError("weights must be strictly positive")
     sw = np.sqrt(w)
-    return _fit(thin_svd(data.design * sw[:, None]), data.response * sw)
+    with np.errstate(over="ignore"):  # an overflow raises below, or in _fit
+        design, rhs = data.design * sw[:, None], data.response * sw
+    if not np.isfinite(design).all():
+        raise NumericalError("the weighted design overflows at this scale")
+    return _fit(thin_svd(design), rhs)
 
 
 def leverage_scores(data: Dataset) -> np.ndarray:

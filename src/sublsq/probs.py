@@ -37,7 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _squared_row_norms, factors, full_rank_leverage, one_of, pow2_exponent, set_fields, trusted
+from .core import (
+    Dataset, _real, _squared_row_norms, factors, full_rank_leverage, one_of, pow2_exponent, set_fields, trusted
+)
 from .errors import DegenerateDistributionError, ValidationError
 
 SCHEMES = ("RAND", "BLEV", "SLEV", "IC", "RL", "PL")
@@ -84,6 +86,8 @@ def _normalized(raw: np.ndarray, what: str, out=None) -> np.ndarray:
 
 def slev_alpha(alpha: float | None) -> float:
     """The SLEV mixing weight: ``DEFAULT_SLEV_ALPHA`` for None, else in [0, 1]."""
+    if alpha is not None and not _real(alpha):
+        raise ValidationError(f"alpha must be a real number, got {alpha!r}")
     alpha = DEFAULT_SLEV_ALPHA if alpha is None else float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")

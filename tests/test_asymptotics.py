@@ -343,6 +343,11 @@ def test_avar_validation():
         avar_matrix(d, pv, 0, 1.0)
     with pytest.raises(ValidationError):
         avar_matrix(d, pv, 5, -1.0)
+    # no real number once leaked a TypeError
+    with pytest.raises(ValidationError, match="^sigma2 must be a positive real, got x$"):
+        avar_matrix(d, pv, 10, "x")
+    with pytest.raises(ValidationError, match="^sigma2 must be a positive real, got None$"):
+        trace_amse(d, pv, 10, None, "beta")
     singular = Dataset(design=np.ones((6, 2)), response=np.zeros(6))
     with pytest.raises(RankError):
         avar_matrix(singular, ProbabilityVector(np.full(6, 1 / 6), "RAND"), 5, 1.0)

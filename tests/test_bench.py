@@ -24,8 +24,10 @@ from sublsq import (
     run_emse,
     subsample_estimate,
     volume_sample,
+    weighted_ls_fit,
 )
 from sublsq.bench import DEFAULT_REPS, REGISTERED_METHODS, dataset_fingerprint
+from sublsq.core import factors
 from sublsq.rng import derive_rng
 
 
@@ -258,6 +260,8 @@ def test_run_emse_validation():
     # rejected up front, not counted as a failed replicate of every cell
     with pytest.raises(ValidationError, match="alpha"):
         run_emse(data, ["SLEV"], [4], reps=2, seed=0, alpha=-1)
+    with pytest.raises(ValidationError, match="^alpha must be a real number, got 'x'$"):
+        run_emse(data, ["SLEV"], [4], reps=2, seed=0, alpha="x")
     with pytest.raises(ValidationError, match="criterion"):
         run_emse(data, ["GREEDY"], [4], reps=2, seed=0, criterion="T")
 
@@ -321,7 +325,8 @@ def _restated_records(data, methods, r_values, reps, seed, alpha=0.9):
                         beta = ols_fit(sample.take_rows(picked.indices)).beta
                     elif method == "LEVVOL":
                         rows = volume_sample(sample, r, "leveraged", (seed, "method", "LEVVOL", rep, r))
-                        beta = ols_fit(sample.take_rows(rows)).beta
+                        weights = sample.p / factors(sample).leverage[rows]
+                        beta = weighted_ls_fit(sample.take_rows(rows), weights).beta
                     else:
                         pv = compute_probabilities(sample, method, alpha if method == "SLEV" else None)
                         d = draw(pv, r, (seed, "method", method, rep, r))
@@ -337,6 +342,21 @@ def _restated_records(data, methods, r_values, reps, seed, alpha=0.9):
             sd = float("nan") if failed else (float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0)
             out[(method, r)] = (emse, sd, len(ok), n_failed, failed)
     return out
+
+
+def test_leveraged_volume_estimate_is_unbiased_for_the_full_fit():
+    # LEVVOL was once fit by plain OLS on its rows, which sat more than 50
+    # standard errors from the full fit here; its unbiased estimator weights
+    # each drawn row by 1/q, q = leverage/p (Derezinski, Warmuth and Hsu, 2018).
+    # A curved mean, so the linear model is wrong and only that weighting is
+    # unbiased. Design, N and seeds are fixed here, the bound is 5 standard errors.
+    rng = np.random.default_rng(5)
+    x = rng.standard_t(3, size=200)
+    data = Dataset(np.column_stack([np.ones(200), x]), 1 + x + 0.5 * x**2 + rng.standard_normal(200))
+    pick = bench_mod._prepared("LEVVOL", data, None, "D", None, 1)
+    betas = np.array([pick(20, ("levvol", i))[1]().beta for i in range(2000)])
+    se = betas.std(axis=0, ddof=1) / np.sqrt(len(betas))
+    assert np.all(np.abs(betas.mean(axis=0) - ols_fit(data).beta) < 5 * se)
 
 
 def _spiked_design():

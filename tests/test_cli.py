@@ -832,39 +832,57 @@ def test_simulate_overflow_raises_no_runtime_warning(capsys, tmp_path, recwarn, 
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
-# Runs each command on the CSV in argv[1] in one process, whose BLAS threads
-# are fixed when numpy loads.
+# Runs each (CSV, command) pair of argv[1:] in one process, whose BLAS
+# threads are fixed when numpy loads.
 _THREAD_CHILD = """
 import sys
 from sublsq.cli import main
-for command in sys.argv[2:]:
-    main(command.split() + ["--input", sys.argv[1], "--response", "y"])
+for csv_path, command in zip(sys.argv[1::2], sys.argv[2::2]):
+    main(command.split() + ["--input", csv_path, "--response", "y"])
 """
 
 
 def test_output_is_the_same_at_any_blas_thread_count(capsys, tmp_path):
     # a fit's sums over n once went through gemv and ddot, which split them
-    # between threads: fit and amse printed other bytes at 1 and 2 threads
-    csv_path = tmp_path / "tall.csv"
-    argv = ["simulate", "--family", "student_t", "--df", "3", "--n", "100000", "--p", "10"]
-    assert main(argv + ["--output", str(csv_path)]) == 0
+    # between threads: fit and amse printed other bytes at 1 and 2 threads.
+    # At p = 50 and 100 the Grams of the factorization and of amse did too.
+    wide = ["fit", "probs --scheme ic", "amse --scheme ic --r 500"]
+    inputs = {
+        (100_000, 10): [
+            "fit",
+            "fit --intercept",
+            "amse --scheme ic --r 500",
+            "subsample --scheme blev --r 500",
+            "probs --scheme ic",
+            "select --method iboss --r 500",
+            "bench --methods OLS,BLEV,IC --reps 2 --r 100",
+        ],
+        (20_000, 50): wide,
+        (20_000, 100): wide,
+    }
+    pairs = []
+    for (n, p), commands in inputs.items():
+        csv_path = tmp_path / f"tall-{p}.csv"
+        argv = ["simulate", "--family", "student_t", "--df", "3", "--n", str(n), "--p", str(p)]
+        assert main(argv + ["--output", str(csv_path)]) == 0
+        pairs += [arg for command in commands for arg in (str(csv_path), command)]
     capsys.readouterr()
-    commands = [
-        "fit",
-        "fit --intercept",
-        "amse --scheme ic --r 500",
-        "subsample --scheme blev --r 500",
-        "probs --scheme ic",
-        "select --method iboss --r 500",
-        "bench --methods OLS,BLEV,IC --reps 2 --r 100",
-    ]
     src = str(Path(sublsq.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2", "4"):
+    children = []
+    for threads in ("1", "2", "4"):  # run side by side, each with its own BLAS threads
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        child = [sys.executable, "-c", _THREAD_CHILD, str(csv_path), *commands]
-        done = subprocess.run(child, env=env, capture_output=True, timeout=300, check=True)
-        outputs.append(done.stdout)
-    assert outputs[0].count(b'"schema_version"') == len(commands)
+        child = [sys.executable, "-c", _THREAD_CHILD, *pairs]
+        children.append(subprocess.Popen(child, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    outputs = []
+    try:
+        for proc in children:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()
+            outputs.append(out)
+    finally:
+        for proc in children:
+            proc.kill()  # no-op once a child has exited
+            proc.wait()
+    assert outputs[0].count(b'"schema_version"') == len(pairs) // 2
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

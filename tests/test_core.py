@@ -118,6 +118,10 @@ def test_fits_raise_where_the_residual_sum_of_squares_overflows():
         ols_fit(d)
     with pytest.raises(NumericalError, match="residual sum of squares"):
         weighted_ls_fit(d, np.ones(4))
+    # a weight that overflows the rescaled design once gave beta = 0 and rank 0
+    d = Dataset(design=[[1e200, 1], [1, 2], [3, 1]], response=[1, 2, 3])
+    with pytest.raises(NumericalError, match="^the weighted design overflows at this scale$"):
+        weighted_ls_fit(d, [1e300, 1, 1])
 
 
 def test_leverage_line_example(line_dataset):
@@ -264,6 +268,16 @@ def test_declined_designs_get_lapack_svd_bits(name):
     U, s, Vt = svd.U, svd.s, svd.Vt
     U0, s0, Vt0 = np.linalg.svd(X, full_matrices=False)
     assert np.array_equal(U, U0) and np.array_equal(s, s0) and np.array_equal(Vt, Vt0)
+
+
+# (n, p, q): a remainder alone, whole blocks alone, both, B in two column
+# tiles (32 + 18), and at p = 1,000 more blocks (37 of 8 rows) than one
+# group of products holds (32), in two tiles
+@pytest.mark.parametrize("n, p, q", [(5, 3, 1), (1638, 10, 0), (1639, 10, 10), (4097, 50, 50), (300, 1000, 40)])
+def test_row_products_equal_the_unblocked_product(n, p, q):
+    A = _student_t(n + p, n, p)
+    B = _student_t(q, n, q) if q else A[:, 0] + 1.0  # q = 0: an n-vector
+    np.testing.assert_allclose(core._row_products(A, B), A.T @ B, rtol=1e-12, atol=1e-12 * n)
 
 
 @pytest.mark.parametrize("p", [2, 10, 50])
@@ -690,6 +704,13 @@ def test_estimate_result_rejects_a_residual_sum_that_is_not_finite():
             EstimateResult(beta=[1.0], rank=1, residual_ss=rss)
     with pytest.raises(ValidationError, match="^residual_ss must be nonnegative$"):
         EstimateResult(beta=[1.0], rank=1, residual_ss=-math.inf)
+    # a string leaked a TypeError, and any rank was accepted
+    with pytest.raises(ValidationError, match="^residual_ss must be a real number, got 'x'$"):
+        EstimateResult(beta=[1.0], rank=1, residual_ss="x")
+    for rank, message in (("x", "rank must be an integer, got 'x'"), (-3, "rank=-3 must be at least 0"),
+                          (2, r"rank=2 exceeds len\(beta\)=1")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            EstimateResult(beta=[1.0], rank=rank, residual_ss=0.0)
 
 
 def test_subset_distribution_rejects_masses_that_are_not_finite():

@@ -245,6 +245,8 @@ def test_alpha_validation():
     d = gaussian_dataset(1, 20, 2)
     with pytest.raises(ValidationError):
         compute_probabilities(d, "SLEV", 1.5)
+    with pytest.raises(ValidationError, match="^alpha must be a real number, got 'x'$"):
+        compute_probabilities(d, "SLEV", "x")  # numpy's ValueError once leaked
     with pytest.raises(ValidationError):
         compute_probabilities(d, "BLEV", 0.5)
     with pytest.raises(ValidationError):
