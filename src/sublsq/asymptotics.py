@@ -63,7 +63,9 @@ class AsymptoticVariance:
             raise ValidationError("matrix must be symmetric within 1e-10")
         if float(np.min(np.linalg.eigvalsh(m))) < -1e-10 * scale:
             raise ValidationError("matrix must be positive semi-definite")
-        set_fields(self, matrix=m)
+        if not _real(self.sigma2) or not 0 <= self.sigma2 < np.inf:
+            raise ValidationError(f"sigma2 must be a finite nonnegative real, got {self.sigma2!r}")
+        set_fields(self, matrix=m, sigma2=float(self.sigma2), r=subset_size(self.r, 1, what="r"))
 
     @property
     def trace(self) -> float:

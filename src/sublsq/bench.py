@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, _real, factors, ols_fit, one_of, subset_size, weighted_ls_fit
+from .core import Dataset, _real, factors, ols_fit, one_of, subset_size, trusted, weighted_ls_fit
 from .errors import NumericalError, ValidationError
 from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_select
 from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities, slev_alpha
@@ -121,7 +121,8 @@ def t5_line_spec(n: int = 1000, noise_sd: float = 1.0) -> SyntheticSpec:
 
 def generate_synthetic(spec: SyntheticSpec, seed: SeedLike) -> Dataset:
     """Draw a dataset from the spec; identical (spec, seed) pairs are
-    byte-identical."""
+    byte-identical. The arrays are fresh, so the record takes them as they
+    are, once they pass the ``Dataset`` finite checks."""
     rng = derive_rng(seed, "synthetic")
     if spec.design_family == "gaussian":
         design = rng.standard_normal((spec.n, spec.p))
@@ -129,12 +130,15 @@ def generate_synthetic(spec: SyntheticSpec, seed: SeedLike) -> Dataset:
         design = rng.standard_t(spec.df, size=(spec.n, spec.p))
     else:
         design = np.column_stack([np.ones(spec.n), rng.standard_t(5.0, size=spec.n)])
-    # an overflow here leaves an inf that the Dataset rejects as an input error
+    # an overflow here leaves an inf, rejected below as an input error
     with np.errstate(over="ignore", invalid="ignore"):
         response = design @ np.asarray(spec.beta0, dtype=np.float64)
         if spec.noise_sd > 0:
             response = response + spec.noise_sd * rng.standard_normal(spec.n)
-    return Dataset(design=design, response=response)
+    for name, values in (("design", design), ("response", response)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} contains NaN or Inf entries")
+    return trusted(Dataset, design=design, response=response)
 
 
 @dataclass(frozen=True)

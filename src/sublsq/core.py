@@ -6,11 +6,12 @@ solution, so rank-deficient designs degrade gracefully instead of raising;
 a fit whose coefficients or residual sum of squares overflow raises
 NumericalError. Each ``Dataset`` is factored once: ``factors`` keeps the
 first ``thin_svd`` of its design, a frozen ``Factorization``, on the
-object, so an n x p ``U`` stays resident while the ``Dataset`` lives. The
-record keeps every shared pass over U: the leverage (8 bytes a row), which
-consumers copy before they write, and each probability vector's
-``U' diag(1/pi) U``; ``full_rank`` is the one rank check, and
-``full_rank_leverage`` the one check for full rank and all-zero rows.
+object; where CholeskyQR2 factors it, the record holds the design and p x p
+maps that form U from it, not U. The record keeps every shared pass over
+U: the leverage (8 bytes a row), which consumers copy before they write,
+and each probability vector's ``U' diag(1/pi) U``; ``full_rank`` is the
+one rank check, and ``full_rank_leverage`` the one check for full rank
+and all-zero rows.
 All functions are pure and thread-safe; returned arrays are frozen.
 
 Every frozen record of the package is filled by ``set_fields``. Its
@@ -26,6 +27,7 @@ the ``beta`` it has just checked.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -43,7 +45,9 @@ __all__ = [
 ]
 
 
-_ROW_BLOCK = 4096  # rows per block of the per-row work on U or X: U itself, IC and PL norms, U' Omega U
+_ROW_BLOCK = 4096  # rows per block of the per-row work on a kept array: IC and PL norms, U' Omega U
+_SPAN = 2048  # least rows per span of a product with the design: U, Q1 (see _times_spans)
+_RESIDUAL_ROWS = 1 << 16  # rows per block of a fit's residual where U is formed from the design
 _GEMV_ENTRIES = 8192  # entries of a gemv OpenBLAS runs on one thread: below 2304 * GEMM_MULTITHREAD_THRESHOLD
 _GEMM_MADDS = 1 << 18  # m n k of a gemm OpenBLAS runs on one thread: 65,536 * GEMM_MULTITHREAD_THRESHOLD
 _FLOAT_BLOCK = 1 << 20  # floats per blocked temporary of exchange and volume sampling, 8 MB
@@ -222,17 +226,43 @@ CHOLQR_MIN_ENTRIES = 16_384
 # Beyond this condition number one Cholesky pass leaves Q too far from
 # orthogonal for the second pass to repair reliably.
 CHOLQR_MAX_COND = 1e5
+# Up to this condition number U = X W for one p x p map W, which costs U
+# about cond eps of orthogonality and a Gram of X mapped by W about cond^2 eps,
+# at most 1e-10; beyond it U = Q1 T, one more product a row (_cholesky_qr2_svd).
+_ONE_MAP_MAX_COND = 1e3
+
+
+def _times_spans(design: np.ndarray, *maps: np.ndarray):
+    """``(lo, design[lo:hi] @ maps[0] @ ...)`` over spans of rows, the longer
+    first, of lengths that differ by at most one and are at least ``_SPAN``
+    unless n is shorter: a shorter product can take another BLAS kernel with
+    other bits (gemv, OpenBLAS's small-matrix path). Each product is written
+    into a reused buffer of its own: read each before the next."""
+    n = design.shape[0]
+    k = max(1, n // _SPAN)
+    q, r = divmod(n, k)
+    buffers = [np.empty((q + (r > 0), m.shape[1])) for m in maps]
+    for i in range(k):
+        lo, hi = i * q + min(i, r), (i + 1) * q + min(i + 1, r)
+        block = design[lo:hi]
+        for buffer, m in zip(buffers, maps):
+            block = np.matmul(block, m, out=buffer[: hi - lo])
+        yield lo, block
 
 
 def _cholesky_qr2_svd(design: np.ndarray):
-    """Thin SVD (U, s, Vt) by CholeskyQR2, or None where that path declines.
+    """The maps that form U from X, s and Vt of a thin SVD by CholeskyQR2, or
+    None where that path declines.
 
     CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014):
     ``R1 = chol(X'X)``, ``Q1 = X R1^{-1}``, ``R2 = chol(Q1'Q1)``, then the
-    SVD of the p x p matrix ``R2 R1``; ``Q1 R2^{-1}`` is orthonormal to
-    machine precision. The path declines designs below the size gate, a
-    Gram matrix that overflowed, a Cholesky that fails (as on a Gram matrix
-    that underflowed to singular), and cond(R1) above ``CHOLQR_MAX_COND``.
+    SVD ``Ur diag(s) Vt`` of ``R2 R1``; ``U = Q1 T`` with ``T = R2^{-1} Ur``.
+    Q1 is formed a span at a time. The maps are ``(R1^{-1} T,)`` up to
+    ``_ONE_MAP_MAX_COND`` and ``(R1^{-1}, T)`` beyond, where only the Q1 that
+    R2 was taken from gives a U orthonormal to machine precision. The path
+    declines designs below the size gate, a Gram matrix that overflowed, a
+    Cholesky that fails (as on a Gram matrix that underflowed to singular),
+    and cond(R1) above ``CHOLQR_MAX_COND``.
     """
     n, p = design.shape
     if n < CHOLQR_MIN_ASPECT * p or n * p < CHOLQR_MIN_ENTRIES:
@@ -243,29 +273,29 @@ def _cholesky_qr2_svd(design: np.ndarray):
         return None
     try:
         r1 = np.linalg.cholesky(gram).T
-        if np.linalg.cond(r1) > CHOLQR_MAX_COND:
+        cond = np.linalg.cond(r1)
+        if cond > CHOLQR_MAX_COND:
             return None
-        q1 = design @ np.linalg.inv(r1)
-        r2 = np.linalg.cholesky(_row_products(q1, q1)).T
+        r1_inv = np.linalg.inv(r1)
+        r2 = np.linalg.cholesky(sum(_row_products(q1, q1) for _, q1 in _times_spans(design, r1_inv))).T
     except np.linalg.LinAlgError:
         return None
     ur, s, Vt = np.linalg.svd(r2 @ r1)
-    # U = Q1 (R2^{-1} Ur), written over Q1 block by block: no second n x p
-    # array. Every block has at least _ROW_BLOCK rows, the last one also the
-    # remainder, since a one-row or short product can take another BLAS
-    # kernel (gemv, OpenBLAS's small-matrix path) with other bits.
     t = np.linalg.inv(r2) @ ur
-    lo = 0
-    while lo < n:
-        hi = lo + _ROW_BLOCK if n - lo >= 2 * _ROW_BLOCK else n
-        q1[lo:hi] = q1[lo:hi] @ t
-        lo = hi
-    return q1, s, Vt
+    maps = (r1_inv @ t,) if cond <= _ONE_MAP_MAX_COND else (r1_inv, t)
+    return tuple(_freeze(m) for m in maps), s, Vt
 
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
     """A thin SVD ``X = U diag(s) Vt`` with its numerical rank, frozen.
+
+    Only this record knows how it holds U: ``basis`` is LAPACK's U, with no
+    ``maps``, or the design X itself, with the p x p maps whose product with
+    X is U, so nothing n long is kept beside the design. U is then formed a
+    span of rows at a time (``blocks``), or only at the rows asked for
+    (``take``); projections on U's rows, a fit's ``U'y`` and
+    ``weighted_gram`` read X.
 
     It owns every pass over the rows of U that its consumers share, each
     computed at the first read and kept on the record: ``leverage`` and,
@@ -273,15 +303,46 @@ class Factorization:
     rank check of every consumer that needs a full-column-rank design.
     """
 
-    U: np.ndarray
+    basis: np.ndarray
+    maps: tuple
     s: np.ndarray
     Vt: np.ndarray
     rank: int
 
+    def blocks(self, cols: int):
+        """``_times_spans`` of U's first ``cols`` columns, where X is kept: a
+        reader may scale a block in place, but must read it before the next."""
+        return _times_spans(self.basis, *self.maps[:-1], self.maps[-1][:, :cols])
+
+    @property
+    def U(self) -> np.ndarray:
+        """U whole and frozen, formed at each read where X is kept: nothing
+        in the package reads it."""
+        if not self.maps:
+            return self.basis
+        U = np.empty((self.basis.shape[0], self.s.size))
+        for lo, block in self.blocks(self.s.size):
+            U[lo : lo + block.shape[0]] = block
+        return _freeze(U)
+
+    def take(self, indices) -> np.ndarray:
+        """U's rows at an integer array of row indices, of any shape."""
+        return functools.reduce(np.matmul, self.maps, self.basis[indices])
+
+    def project(self, b: np.ndarray) -> np.ndarray:
+        """``b U'`` for an (m, p) ``b``: ``(b S^{-1} Vt) X'`` where X is kept,
+        since U = X V S^{-1}; each p x p operand is C-ordered, as a product
+        with an F-ordered one can take a threaded OpenBLAS kernel."""
+        return ((b / self.s) @ self.Vt) @ self.basis.T if self.maps else b @ self.basis.T
+
+    def row_norms(self, scale=None) -> np.ndarray:
+        """``_squared_row_norms`` of the first ``rank`` columns of U, times ``scale``."""
+        return _squared_row_norms(self if self.maps else self.basis[:, : self.rank], scale)
+
     @property
     def leverage(self) -> np.ndarray:
         """Squared row norms of the first ``rank`` columns of U, unclipped and frozen."""
-        return cached_on(self, "_leverage", lambda: _freeze(_squared_row_norms(self.U[:, : self.rank])))
+        return cached_on(self, "_leverage", lambda: _freeze(self.row_norms()))
 
     def full_rank(self, what: str) -> "Factorization":
         """This record, if its design has full column rank; RankError naming ``what`` otherwise."""
@@ -293,18 +354,25 @@ class Factorization:
     def weighted_gram(self, probs) -> np.ndarray:
         """The frozen p x p matrix ``U' diag(1/pi) U`` for the ProbabilityVector ``probs``.
 
-        Summed over blocks of ``_ROW_BLOCK`` rows of U at the first call,
-        then kept per vector in a ``WeakKeyDictionary``, made at first use,
-        so an entry goes with its vector; a race sums twice. Callers check
-        the rank, the length of pi and that pi > 0 first.
+        ``Y' diag(1/pi) Y`` summed over blocks of rows, then ``t' (. t)`` for
+        ``U = Y t``: Y is a kept U, the design X (``t`` its one map), or else
+        Q1 (``t = T``). Computed at the first call, then kept per vector in a
+        ``WeakKeyDictionary``, made at first use, so an entry goes with its
+        vector; a race sums twice. Callers check the rank, the length of pi
+        and that pi > 0 first.
         """
         grams = cached_on(self, "_grams", weakref.WeakKeyDictionary)
         gram = grams.get(probs)
         if gram is None:
-            U, pi, rows = self.U, probs.probs, _ROW_BLOCK
+            B, pi, rows = self.basis, probs.probs[:, None], _ROW_BLOCK
+            if len(self.maps) > 1:
+                blocks = _times_spans(B, self.maps[0])
+            else:
+                blocks = ((lo, B[lo : lo + rows]) for lo in range(0, B.shape[0], rows))
             with np.errstate(over="ignore", invalid="ignore"):  # the callers check their results
-                gram = sum(_row_products(U[lo : lo + rows], U[lo : lo + rows] / pi[lo : lo + rows, None])
-                           for lo in range(0, U.shape[0], rows))
+                gram = sum(_row_products(Y, Y / pi[lo : lo + Y.shape[0]]) for lo, Y in blocks)
+                if self.maps:  # t' (gram t), each a sum in one order
+                    gram = _row_products(self.maps[-1], _row_products(gram.T, self.maps[-1]))
             grams[probs] = gram = _freeze(gram)
         return gram
 
@@ -312,15 +380,18 @@ class Factorization:
 def thin_svd(design: np.ndarray) -> Factorization:
     """Thin SVD plus numerical rank, as a ``Factorization``.
 
-    Tall, well-conditioned designs are factored by CholeskyQR2, in BLAS-3
-    products over the rows that hold one n x p array at a time; every other
-    design goes to LAPACK's SVD.
+    Tall, well-conditioned designs are factored by CholeskyQR2, and the
+    record keeps a read-only view of ``design``, which must not change while
+    it lives; every other design goes to LAPACK's SVD.
     """
     svd = _cholesky_qr2_svd(design)
-    U, s, Vt = svd if svd is not None else np.linalg.svd(design, full_matrices=False)
+    if svd is None:
+        maps, (basis, s, Vt) = (), np.linalg.svd(design, full_matrices=False)
+    else:
+        (maps, s, Vt), basis = svd, design.view()
     n, p = design.shape
     rank = int(np.count_nonzero(s > _rank_tolerance(s, n, p)))
-    return Factorization(_freeze(U), _freeze(s), _freeze(Vt), rank)
+    return trusted(Factorization, basis=basis, maps=maps, s=s, Vt=Vt, rank=rank)
 
 
 def factors(data: Dataset) -> Factorization:
@@ -358,23 +429,30 @@ def _fit(svd: Factorization, rhs: np.ndarray) -> EstimateResult:
     """Minimum-norm least-squares fit of ``rhs`` on the design whose ``thin_svd`` is ``svd``.
 
     ``rank`` is the numerical rank used; ``residual_ss`` the squared norm of
-    ``rhs`` less its projection ``U_r U_r' rhs`` on the first ``rank`` columns
-    of U, which is read twice, and the design not at all. Every sum over the
-    n rows runs in one order at any BLAS thread count: ``U_r' rhs`` by
-    ``_row_products``, each entry of ``U_r (U_r' rhs)`` over rank terms, the
-    residual sum by ``einsum``. NumericalError where the coefficients or that
-    sum are not finite; numpy's overflow warnings are silenced, since that raises.
+    ``rhs`` less ``U_r (U_r' rhs)`` where U is kept, or less ``X beta`` where
+    X is, in blocks of ``_RESIDUAL_ROWS`` rows written into one buffer. Every
+    sum over the n rows runs in one order at any BLAS thread count:
+    ``_row_products``, each entry of the projection over at most p terms,
+    each block's residual sum by ``einsum``. NumericalError where the
+    coefficients or that sum are not finite; numpy's overflow warnings are
+    silenced, since that raises.
     """
-    rank = svd.rank
+    rank, B = svd.rank, svd.basis
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = _row_products(svd.U, rhs)[:rank]
+        coef = _row_products(B, rhs)
+        # where X is kept, U_r' rhs = W_r' (X' rhs) = S_r^{-1} Vt_r (X' rhs)
+        coef = (svd.Vt[:rank] @ coef) / svd.s[:rank] if svd.maps else coef[:rank]
         # rank 0 (an all-zero design) gives the zero vector
         beta = svd.Vt[:rank].T @ (coef / svd.s[:rank])
         if not np.all(np.isfinite(beta)):
             raise NumericalError("the least-squares coefficients overflow at this scale")
-        resid = svd.U[:, :rank] @ coef
-        np.subtract(rhs, resid, out=resid)  # one n-vector, not two
-        rss = float(np.einsum("i,i->", resid, resid))
+        # a kept U is p n-vectors already: one block keeps the bits of one product
+        B, terms, rows = (B, beta, _RESIDUAL_ROWS) if svd.maps else (B[:, :rank], coef, B.shape[0])
+        resid, rss = np.empty(min(rows, B.shape[0])), 0.0
+        for lo in range(0, B.shape[0], rows):
+            y = rhs[lo : lo + rows]
+            block = np.matmul(B[lo : lo + rows], terms, out=resid[: y.size])
+            rss += float(np.einsum("i,i->", np.subtract(y, block, out=block), block))
     if not np.isfinite(rss):
         raise NumericalError("the residual sum of squares overflows at this scale")
     return trusted(EstimateResult, beta=beta, rank=rank, residual_ss=rss)
@@ -427,28 +505,38 @@ def leverage_scores(data: Dataset) -> np.ndarray:
     return _freeze(np.clip(factors(data).leverage, 0.0, 1.0))
 
 
-def _squared_row_norms(rows: np.ndarray, scale=None) -> np.ndarray:
+def _squared_row_norms(rows, scale=None) -> np.ndarray:
     """``einsum("ij,ij->i", S, S)``: the squared row norms of ``S = rows``, or
     of ``S = rows * scale``, with ``scale`` one factor per column or one for
-    all, computed ``_ROW_BLOCK`` rows at a time.
+    all. ``rows`` is an n x k array, scaled ``_ROW_BLOCK`` rows at a time,
+    or a ``Factorization`` that forms U, for U's first rank columns, a span at
+    a time (``Factorization.blocks``).
 
-    Each block is scaled as one flat product, into one reused buffer: per
-    column factors are tiled to the block's length, about 4x faster at
-    p = 10 than the broadcast product, and the same products. Each entry is
-    scaled alone and einsum reduces each row alone, so every norm has the
-    bits of one unblocked call, and no temporary is larger than one block.
+    Each block is scaled as one flat product, in place where it was formed,
+    into one reused buffer otherwise: per column factors are tiled to the
+    first block's length, about 4x faster at p = 10 than the broadcast
+    product, and the same products. Each entry is scaled alone and einsum
+    reduces each row alone, so every norm has the bits of one unblocked
+    call, and no temporary is larger than one block.
     """
-    if scale is None:
+    formed = isinstance(rows, Factorization)
+    if formed:
+        n, blocks = rows.basis.shape[0], rows.blocks(rows.rank)
+    elif scale is None:
         return np.einsum("ij,ij->i", rows, rows)
-    n, p = rows.shape
-    # a single factor is kept as one entry, which broadcasts
-    factors = np.tile(scale, min(n, _ROW_BLOCK)) if isinstance(scale, np.ndarray) else np.array([scale])
-    buffer = np.empty(min(n, _ROW_BLOCK) * p)
-    out = np.empty(n)
-    for lo in range(0, n, _ROW_BLOCK):
-        flat = rows[lo : lo + _ROW_BLOCK].reshape(-1)
-        block = np.multiply(flat, factors[: flat.size], out=buffer[: flat.size]).reshape(-1, p)
-        np.einsum("ij,ij->i", block, block, out=out[lo : lo + _ROW_BLOCK])
+    else:
+        n = rows.shape[0]
+        blocks = ((lo, rows[lo : lo + _ROW_BLOCK]) for lo in range(0, n, _ROW_BLOCK))
+    out, factors = np.empty(n), None
+    for lo, block in blocks:
+        if scale is not None:
+            flat = block.reshape(-1)
+            if factors is None:  # a single factor is kept as one entry, which broadcasts
+                factors = np.tile(scale, len(block)) if isinstance(scale, np.ndarray) else np.array([scale])
+                buffer = None if formed else np.empty(flat.size)
+            target = flat if formed else buffer[: flat.size]
+            block = np.multiply(flat, factors[: flat.size], out=target).reshape(block.shape)
+        np.einsum("ij,ij->i", block, block, out=out[lo : lo + block.shape[0]])
     return out
 
 

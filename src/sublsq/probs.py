@@ -130,7 +130,7 @@ def compute_probabilities(
         # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column
         # scale, and keeps each squared norm at most the row's leverage, so
         # the leverage's zero-row verdict is theirs.
-        squares = _squared_row_norms(svd.U, svd.s[-1] / svd.s)
+        squares = svd.row_norms(svd.s[-1] / svd.s)
         ic_raw = np.sqrt(squares, out=squares)
         vector = _normalized(ic_raw, "inverse-covariance", out=ic_raw)
     elif scheme == "RL":

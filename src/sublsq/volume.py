@@ -40,7 +40,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import _FLOAT_BLOCK as _BLOCK  # index-gathered floats per block
-from .core import Dataset, factors, full_rank_leverage, one_of, set_fields, subset_size
+from .core import Dataset, Factorization, factors, full_rank_leverage, one_of, set_fields, subset_size
 from .errors import CapacityError, DegenerateDistributionError, SamplingError, ValidationError
 from .rng import SeedLike, derive_rng
 
@@ -83,8 +83,9 @@ class SubsetDistribution:
         set_fields(self, subsets=subsets, masses=masses)
 
 
-def _gram_logdets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """log det of the p x p information matrix of each index row, in
+def _gram_logdets(source, index_rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """log det of the p x p information matrix of each index row, on the
+    rows of ``source``, an n x p design or a ``Factorization``, for its U, in
     blocks of ``max(1, _BLOCK // (r p))`` index rows, half that where
     ``scale`` weights the rows, so that the scaled copy fits the block too.
 
@@ -92,12 +93,14 @@ def _gram_logdets(design: np.ndarray, index_rows: np.ndarray, scale: np.ndarray 
     so those entries get -inf (mass 0).
     """
     m, r = index_rows.shape
+    take = source.take if isinstance(source, Factorization) else source.__getitem__
+    p = source.Vt.shape[1] if isinstance(source, Factorization) else source.shape[1]
     copies = 1 if scale is None else 2  # the gathered rows, and their scaled copy
-    step = max(1, _BLOCK // (copies * r * design.shape[1]))
+    step = max(1, _BLOCK // (copies * r * p))
     out = np.empty(m)
     for lo in range(0, m, step):
         idx = index_rows[lo : lo + step]
-        rows = design[idx]  # (step, r, p)
+        rows = take(idx)  # (step, r, p)
         scaled = rows if scale is None else rows * scale[idx][..., None]
         sign, logdet = np.linalg.slogdet(scaled.transpose(0, 2, 1) @ rows)
         out[lo : lo + step] = np.where(sign > 0, logdet, -np.inf)
@@ -130,11 +133,11 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     if n > ENUMERATION_MAX_N:
         raise CapacityError(f"subset enumeration is capped at n={ENUMERATION_MAX_N}, got n={n}")
     r = subset_size(r, p, n)
-    U = factors(data).full_rank("standard volume sampling").U
+    svd = factors(data).full_rank("standard volume sampling")
 
     subsets = np.array(list(combinations(range(n), r)), dtype=np.intp)
     log_denom = math.log(math.comb(n - p, r - p))
-    return SubsetDistribution(subsets=subsets, masses=np.exp(_gram_logdets(U, subsets) - log_denom))
+    return SubsetDistribution(subsets=subsets, masses=np.exp(_gram_logdets(svd, subsets) - log_denom))
 
 
 def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
@@ -199,8 +202,7 @@ def _standard_draws(data: Dataset, r: int, rng: np.random.Generator, size: int) 
     temporary holds at most ``_BLOCK`` floats; the cost is O(n p^2) a draw.
     """
     svd = factors(data).full_rank("standard volume sampling")
-    U, lev = svd.U, svd.leverage
-    n, p = U.shape
+    lev, (n, p) = svd.leverage, data.design.shape
     floor = _RESIDUAL_RTOL * lev
     step = max(1, _BLOCK // n)
     out = np.empty((size, r), dtype=np.intp)
@@ -213,12 +215,12 @@ def _standard_draws(data: Dataset, r: int, rng: np.random.Generator, size: int) 
         for k in range(p):
             j = _inverse_cdf(residual)(rng.random(m))
             picks[:, k] = j
-            v = U[j]
+            v = svd.take(j)
             for _ in range(2):
                 v -= np.einsum("mkp,mk->mp", basis[:, :k], np.einsum("mkp,mp->mk", basis[:, :k], v))
             basis[:, k] = v / np.linalg.norm(v, axis=1, keepdims=True)
             if k < p - 1:
-                projection = basis[:, k] @ U.T
+                projection = svd.project(basis[:, k])
                 residual -= np.square(projection, out=projection)
                 residual[draws, j] = 0.0
                 np.copyto(residual, 0.0, where=residual <= floor)
@@ -241,7 +243,7 @@ def _leveraged_log_ratios(data: Dataset, inv_q: np.ndarray, proposals: np.ndarra
     the proposal allows, at any column scale. At most 0 up to rounding;
     -inf where the determinant vanishes.
     """
-    return _gram_logdets(factors(data).U, proposals, inv_q) - data.p * math.log(proposals.shape[1])
+    return _gram_logdets(factors(data), proposals, inv_q) - data.p * math.log(proposals.shape[1])
 
 
 def _leveraged_rejection(

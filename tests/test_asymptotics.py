@@ -351,6 +351,11 @@ def test_avar_validation():
     singular = Dataset(design=np.ones((6, 2)), response=np.zeros(6))
     with pytest.raises(RankError):
         avar_matrix(singular, ProbabilityVector(np.full(6, 1 / 6), "RAND"), 5, 1.0)
+    # the record's own constructor once accepted both
+    with pytest.raises(ValidationError, match="^sigma2 must be a finite nonnegative real, got 'x'$"):
+        AsymptoticVariance(np.eye(2), "x", 1)
+    with pytest.raises(ValidationError, match="^r=-4 must be at least 1$"):
+        AsymptoticVariance(np.eye(2), 1.0, -4)
 
 
 def test_avar_rejects_non_finite_matrices():

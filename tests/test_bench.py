@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,6 +93,19 @@ def test_finite_coefficients_that_overflow_the_response_are_a_dataset_error():
     spec = SyntheticSpec(n=10, p=2, design_family="gaussian", beta0=(1e308, 1e308), noise_sd=1.0)
     with pytest.raises(ValidationError, match="^response contains NaN or Inf entries$"):
         generate_synthetic(spec, 0)
+
+
+def test_generate_synthetic_keeps_its_fresh_arrays():
+    # the Dataset constructor once copied the design, as many bytes again
+    spec = SyntheticSpec(n=200_000, p=10, design_family="student_t", beta0=(1.0,) * 10, noise_sd=1.0, df=5.0)
+    tracemalloc.start()
+    try:
+        data = generate_synthetic(spec, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * (data.design.nbytes + data.response.nbytes)
+    assert not data.design.flags.writeable and not data.response.flags.writeable
 
 
 def test_noiseless_data_identifies_coefficients():

@@ -283,30 +283,88 @@ def test_row_products_equal_the_unblocked_product(n, p, q):
 @pytest.mark.parametrize("p", [2, 10, 50])
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 12289])
 def test_cholesky_path_forms_u_with_the_bits_of_one_product(monkeypatch, n, p):
-    # U is written over Q1 in row blocks, the last one a row past a multiple
-    # of the block at n = 4097 and 12289; every row keeps its bits. Both
-    # Grams are summed by the one kernel of every product over the rows.
+    # The record keeps the design, not U: U is formed from it a span of rows
+    # at a time, in spans of as near equal lengths as can be (one below
+    # n = 4096), and every row has the bits of one whole product of X and the
+    # record's map. Both Grams are summed by the one kernel of every product
+    # over the rows, Q1'Q1 over the spans of Q1, and the leverage is read off
+    # the spans of U.
     monkeypatch.setattr(core, "CHOLQR_MIN_ENTRIES", 0)  # so the p = 2 designs take the path too
     X = _student_t(n + p, n, p)
     r1 = np.linalg.cholesky(core._row_products(X, X)).T
     q1 = X @ np.linalg.inv(r1)
-    r2 = np.linalg.cholesky(core._row_products(q1, q1)).T
+    k = max(1, n // core._SPAN)  # spans of as near equal lengths as can be
+    bounds = [i * (n // k) + min(i, n % k) for i in range(k + 1)]
+    r2 = np.linalg.cholesky(sum(core._row_products(q1[a:b], q1[a:b]) for a, b in zip(bounds, bounds[1:]))).T
     ur, _, _ = np.linalg.svd(r2 @ r1)
-    U = core._cholesky_qr2_svd(X)[0]
-    assert np.array_equal(U, q1 @ (np.linalg.inv(r2) @ ur))
+    svd = core.thin_svd(X)
+    assert svd.basis.base is X
+    (W,) = svd.maps  # well conditioned: one map, W = R1^-1 R2^-1 Ur
+    assert np.array_equal(W, np.linalg.inv(r1) @ (np.linalg.inv(r2) @ ur))
+    U = X @ W
+    assert np.array_equal(svd.U, U) and not svd.U.flags.writeable
+    assert np.array_equal(svd.leverage, np.einsum("ij,ij->i", U, U))
 
 
 def test_thin_svd_of_a_tall_design_holds_one_n_by_p_array():
+    # that array is the design itself: the record keeps p x p maps beside
+    # it, and forms U and Q1 a span of rows at a time, each in one reused
+    # buffer, so thin_svd and then the leverage (8 bytes a row) make no
+    # temporary longer than a span, and little beside it
     X = _student_t(16, 200_000, 10)
     assert core._cholesky_qr2_svd(X) is not None
+    n, p = X.shape
+    span = -(-n // (n // core._SPAN)) * p * X.itemsize  # the longest span's buffer
     tracemalloc.start()
     try:
-        core.thin_svd(X)
+        svd = core.thin_svd(X)
+        factored = tracemalloc.get_traced_memory()[1]
+        lev = svd.leverage
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # U itself is one; a second n x p product made it twice the design
-    assert peak < 1.1 * X.nbytes
+    assert svd.basis.base is X
+    assert factored < 2 * span
+    assert peak < lev.nbytes + 2 * span
+
+
+def test_tall_design_is_factored_fit_and_scored_in_a_quarter_of_its_bytes():
+    # U was once kept whole beside the design, as many bytes again
+    data = generate_synthetic(
+        SyntheticSpec(n=200_000, p=10, design_family="student_t", beta0=(1.0,) * 10, noise_sd=1.0, df=5.0), 3
+    )
+    assert core._cholesky_qr2_svd(data.design) is not None
+    tracemalloc.start()
+    try:
+        svd = core.factors(data)
+        svd.leverage
+        ols_fit(data)
+        probs = compute_probabilities(data, "IC")
+        svd.weighted_gram(probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * data.design.nbytes
+
+
+@pytest.mark.parametrize("cond, maps", [(5e2, 1), (1e4, 2)])
+def test_design_read_fits_and_amse_keep_their_accuracy(cond, maps):
+    # U is formed from the design, and the fit's U'y reads X through
+    # W = V S^-1, at a cost of the order of cond(X)^2 eps; so does the
+    # weighted Gram up to cond 1e3, where U is X times one map, and it reads
+    # Q1 = X R1^-1 beyond, where U is Q1 times a second
+    X = _designed_condition(5_000, 10, cond)
+    n, p = X.shape
+    y = X @ np.arange(1.0, p + 1) + np.random.default_rng(4).standard_normal(n)
+    data = Dataset(design=X, response=y)
+    assert len(core.factors(data).maps) == maps
+    want = np.linalg.lstsq(X, y, rcond=None)[0]
+    assert np.linalg.norm(ols_fit(data).beta - want) <= 1e-10 * np.linalg.norm(want)
+    probs = compute_probabilities(data, "IC")
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    sigma2 = sigma2_estimate(data)
+    restated = sigma2 * np.sum(s**-2.0 * (1.0 + np.einsum("ik,i->k", U * U, 1.0 / probs.probs) / 500))
+    assert trace_amse(data, probs, 500, sigma2, "beta") == pytest.approx(restated, rel=1e-8, abs=0)
 
 
 def test_blev_draws_on_cholesky_path_are_pinned():
