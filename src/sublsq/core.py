@@ -89,6 +89,14 @@ def one_of(value, choices: tuple, what: str, upper: bool = False):
     return value
 
 
+def of_type(value, cls: type, what: str):
+    """``value`` if it is a ``cls``; ValidationError naming ``what`` otherwise:
+    the one type check of a record argument."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def subset_size(r, low: int, high: float = np.inf, what: str = "subset size r") -> int:
     """``r`` as an int where it is an integer (not a float or a bool) and
     ``low <= r <= high`` (``high`` the rows to pick from, if r may not
@@ -336,7 +344,14 @@ class Factorization:
         return ((b / self.s) @ self.Vt) @ self.basis.T if self.maps else b @ self.basis.T
 
     def row_norms(self, scale=None) -> np.ndarray:
-        """``_squared_row_norms`` of the first ``rank`` columns of U, times ``scale``."""
+        """``_squared_row_norms`` of the first ``rank`` columns of U, times
+        ``scale``. Where U is formed and the leverage not yet kept, it is
+        kept too, from the same spans."""
+        if self.maps and scale is not None and "_leverage" not in self.__dict__:
+            leverage = np.empty(self.basis.shape[0])
+            out = _squared_row_norms(self, scale, leverage)
+            cached_on(self, "_leverage", lambda: _freeze(leverage))
+            return out
         return _squared_row_norms(self if self.maps else self.basis[:, : self.rank], scale)
 
     @property
@@ -505,12 +520,13 @@ def leverage_scores(data: Dataset) -> np.ndarray:
     return _freeze(np.clip(factors(data).leverage, 0.0, 1.0))
 
 
-def _squared_row_norms(rows, scale=None) -> np.ndarray:
+def _squared_row_norms(rows, scale=None, unscaled=None) -> np.ndarray:
     """``einsum("ij,ij->i", S, S)``: the squared row norms of ``S = rows``, or
     of ``S = rows * scale``, with ``scale`` one factor per column or one for
     all. ``rows`` is an n x k array, scaled ``_ROW_BLOCK`` rows at a time,
     or a ``Factorization`` that forms U, for U's first rank columns, a span at
-    a time (``Factorization.blocks``).
+    a time (``Factorization.blocks``); for one, an n-vector ``unscaled``
+    takes the squared norms of each span before it is scaled.
 
     Each block is scaled as one flat product, in place where it was formed,
     into one reused buffer otherwise: per column factors are tiled to the
@@ -529,6 +545,8 @@ def _squared_row_norms(rows, scale=None) -> np.ndarray:
         blocks = ((lo, rows[lo : lo + _ROW_BLOCK]) for lo in range(0, n, _ROW_BLOCK))
     out, factors = np.empty(n), None
     for lo, block in blocks:
+        if unscaled is not None:
+            np.einsum("ij,ij->i", block, block, out=unscaled[lo : lo + block.shape[0]])
         if scale is not None:
             flat = block.reshape(-1)
             if factors is None:  # a single factor is kept as one entry, which broadcasts

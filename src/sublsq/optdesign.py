@@ -19,17 +19,22 @@ Selection strategies:
   improves the criterion by more than a relative 1e-10.
 
 Candidates are scored in closed form from the current subset Gram matrix
-G, factored once per step as G^{-1} = F F' (F from the eigendecomposition
-of G), so a step costs O(n p^2) instead of one p x p eigendecomposition
-per candidate. A greedy step adds a row x with d = x'G^{-1}x: the matrix
-determinant lemma gives the D key log det G^{-1} - log(1 + d), and
-Sherman-Morrison gives the A key, summed from positive terms so that no
-digits cancel. An exchange swap is a rank-two update scored by Fedorov's
-delta: with C = X_S G^{-1} X_out' for all (inside, outside) pairs, the
-determinant ratio is (1 - d_out)(1 + d_in) + C^2, and for A the 2 x 2
-Woodbury identity gives the new trace. Swaps are scored in blocks of
-outgoing rows, about 2^20 keys at a time (at least one outgoing row's),
-not all r (n - r) at once. E has no closed form, so E, and any step
+G, factored as G^{-1} = F F' (F from the eigendecomposition of G), not by
+one p x p eigendecomposition per candidate. A greedy step adds a row x
+with d = x'G^{-1}x: the matrix determinant lemma gives the D key
+log det G^{-1} - log(1 + d), and Sherman-Morrison gives the A key, summed
+from positive terms so that no digits cancel, which needs G's eigenbasis:
+an A pick factors G afresh and costs O(n p^2). D keeps d for every row,
+and G^{-1}, formed from F where the closed forms start and then updated
+by Sherman-Morrison after each pick (Fedorov 1972; Wynn 1970): a D pick
+costs one product of the design with a p-vector, O(np), and a p x p
+eigendecomposition of G for the rule below. An exchange swap is a
+rank-two update scored by Fedorov's delta: with C = X_S G^{-1} X_out' for
+all (inside, outside) pairs, the determinant ratio is
+(1 - d_out)(1 + d_in) + C^2, and for A the 2 x 2 Woodbury identity gives
+the new trace. Swaps are scored in blocks of outgoing rows, about 2^20
+keys at a time (at least one outgoing row's), not all r (n - r) at once,
+in buffers kept across rounds. E has no closed form, so E, and any step
 whose G is singular by the rule the keys use or whose closed-form keys
 are not finite, score every candidate Gram by its eigenvalues. For A and
 D both routines first multiply the design by the power of two that puts
@@ -55,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _FLOAT_BLOCK as _SWAP_BLOCK  # closed-form swap keys scored at once
-from .core import Dataset, one_of, pow2_exponent, row_indices, set_fields, subset_size
+from .core import Dataset, of_type, one_of, pow2_exponent, row_indices, set_fields, subset_size
 from .errors import SingularSubsetError, ValidationError
 
 CRITERIA = ("A", "D", "E")
@@ -202,41 +207,110 @@ def _grown_keys(gram: np.ndarray, rows: np.ndarray, criterion: str) -> np.ndarra
     return np.log(mu.sum() + z2 @ ((1.0 - np.eye(mu.size)) @ mu)) - np.log1p(d)
 
 
-def _swap_keys(key: float, mu: np.ndarray, zu: np.ndarray, zx: np.ndarray, criterion: str):
+def _d_pick(X: np.ndarray, gram: np.ndarray, taken: np.ndarray, kept):
+    """greedy_select's D pick after the span phase, the row not taken with
+    the lowest key of gram + x x' (the first of equal keys), and the state
+    for the next pick.
+
+    ``kept`` is None or ``(inverse, d, work)``: gram^{-1} and d_i =
+    x_i'gram^{-1}x_i for every row of X, formed as F F' and ||x_i F||^2 from
+    _inverse_factor's F, then kept by Sherman-Morrison: adding row b with
+    v = gram^{-1}x_b takes (X v)^2 / (1 + d_b) from d and v v' / (1 + d_b)
+    from gram^{-1}, one product with X a pick; ``work`` is an n-vector to
+    work in. Each pick still factors gram, a p x p eigendecomposition, so
+    that the eigenvalue rule decides as in _grown_keys where gram is
+    singular. There, or where a kept key is not finite, the pick is
+    _grown_keys', and the state is formed afresh at the next pick whose
+    gram is nonsingular.
+    """
+    key, inverse = _inverse_factor(gram, "D")
+    if inverse is not None:
+        if kept is None:
+            factor = inverse[1]
+            d = np.square(X @ factor).sum(axis=1)
+            kept = factor @ factor.T, d, np.empty_like(d)
+        ginv, d, keys = kept
+        with np.errstate(over="ignore", invalid="ignore"):  # a key not finite is caught below
+            np.subtract(key, np.log1p(d, out=keys), out=keys)
+            keys[taken] = np.inf
+            best = int(np.argmin(keys))  # the first of equal keys, or the first NaN
+            if np.isfinite(keys[best]):
+                v = ginv @ X[best]
+                scale = 1.0 + d[best]
+                projected = np.square(np.matmul(X, v, out=keys), out=keys)
+                d -= np.divide(projected, scale, out=projected)
+                ginv -= np.outer(v, v) / scale
+                return best, kept
+    pool = np.flatnonzero(~taken)
+    return int(pool[np.argmin(_grown_keys(gram, X[pool], "D"))]), None
+
+
+class _Buffers:
+    """Arrays kept across an exchange's rounds, one per name, each handed
+    out as a view of the shape asked for. A round's swap-key temporaries are
+    r (n - r) floats a block, beyond glibc's mmap threshold at the sizes
+    exchange meets, so fresh ones would be mapped and faulted in each round."""
+
+    def __init__(self):
+        self._kept = {}
+
+    def __call__(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        kept = self._kept.get(name)
+        if kept is None or kept.size < size:
+            kept = self._kept[name] = np.empty(size, dtype)
+        return kept[:size].reshape(shape)
+
+
+def _swap_keys(key: float, mu: np.ndarray, zu: np.ndarray, zx: np.ndarray, criterion: str, buffers):
     """The key of G - u u' + x x' for every inside row u (result rows) and
     outside row x (result columns), given as zu = u F and zx = x F with G's
     key, mu and F from _inverse_factor; None where a ratio or an A
-    numerator is not finite.
+    numerator is not finite. Every (rows, columns) temporary is a view of
+    ``buffers``, a _Buffers, and so is the result.
 
     D by Fedorov's determinant ratio (1 - d_u)(1 + d_x) + (u'G^{-1}x)^2, A
     by the 2 x 2 Woodbury identity. A swap whose ratio is not positive
     leaves a singular Gram matrix and gets key inf.
     """
+    shape = (zu.shape[0], zx.shape[0])
+    check, ok = buffers("check", shape, bool), buffers("ok", shape, bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = zu @ zx.T
+        c = np.matmul(zu, zx.T, out=buffers("c", shape))
         du, dx = np.square(zu).sum(axis=1)[:, None], np.square(zx).sum(axis=1)
-        ratio = (1.0 - du) * (1.0 + dx) + c * c
-        finite = np.isfinite(ratio).all()
-        ok = ratio > 0
+        ratio = np.multiply(1.0 - du, 1.0 + dx, out=buffers("ratio", shape))
+        # D reads c no more; A forms quc next in the buffer of c^2
+        ratio += np.multiply(c, c, out=c if criterion == "D" else buffers("quc", shape))
+        finite = np.isfinite(ratio, out=check).all()
+        np.greater(ratio, 0, out=ok)
+        np.copyto(ratio, 1.0, where=np.logical_not(ok, out=check))  # where(ok, ratio, 1)
         if criterion == "D":
-            keys = key - np.log(np.where(ok, ratio, 1.0))
+            keys = np.subtract(key, np.log(ratio, out=ratio), out=ratio)
         else:
             qu, qx = (np.square(zu) @ mu)[:, None], np.square(zx) @ mu
-            quc = (zu * mu) @ zx.T
-            numerator = (du - 1.0) * qx - 2.0 * c * quc + (1.0 + dx) * qu
-            finite &= np.isfinite(numerator).all()
-            trace = mu.sum() + numerator / np.where(ok, ratio, 1.0)
-            ok &= trace > 0
-            keys = np.log(np.where(ok, trace, 1.0))
-    return np.where(ok, keys, np.inf) if finite else None
+            quc = np.matmul(zu * mu, zx.T, out=buffers("quc", shape))
+            # (du - 1) qx - 2 c quc + (1 + dx) qu, one operation at a time
+            numerator = np.multiply(du - 1.0, qx, out=buffers("numerator", shape))
+            numerator -= np.multiply(np.multiply(2.0, c, out=c), quc, out=c)
+            numerator += np.multiply(1.0 + dx, qu, out=c)
+            finite &= np.isfinite(numerator, out=check).all()
+            trace = np.add(mu.sum(), np.divide(numerator, ratio, out=numerator), out=numerator)
+            ok &= np.greater(trace, 0, out=check)
+            np.copyto(trace, 1.0, where=np.logical_not(ok, out=check))
+            keys = np.log(trace, out=trace)
+    if not finite:
+        return None
+    np.copyto(keys, np.inf, where=np.logical_not(ok, out=check))
+    return keys
 
 
 def _best_swap(
-    gram: np.ndarray, key: float, inverse, inside: np.ndarray, outside: np.ndarray, criterion: str
+    gram: np.ndarray, key: float, inverse, inside: np.ndarray, outside: np.ndarray, criterion: str, buffers
 ):
     """The lowest key of gram - u u' + x x' over the rows u of inside and x
     of outside, with the positions of u and x; ties go to the lowest u,
-    then the lowest x. ``key`` and ``inverse`` are gram's, from _inverse_factor.
+    then the lowest x. ``key`` and ``inverse`` are gram's, from _inverse_factor;
+    ``buffers`` is passed to _swap_keys.
 
     Blocks of inside rows are scored by _swap_keys, about _SWAP_BLOCK keys
     at a time so that an exchange round's memory stays bounded. E, a block
@@ -253,7 +327,7 @@ def _best_swap(
     best = (np.inf, 0, 0)
     for start in range(0, inside.shape[0], step):
         block = slice(start, start + step)
-        keys = None if inverse is None else _swap_keys(key, mu, zu[block], zx, criterion)
+        keys = None if inverse is None else _swap_keys(key, mu, zu[block], zx, criterion, buffers)
         if keys is None:
             grams = (_plus_outer(gram - np.outer(u, u), outside) for u in inside[block])
             keys = np.array([_batched_criterion(g, criterion) for g in grams])
@@ -263,7 +337,7 @@ def _best_swap(
     if inverse is not None and best[0] < np.inf:
         u, x = inside[best[1]], outside[best[2]]
         if _batched_criterion(_plus_outer(gram - np.outer(u, u), x), criterion) == np.inf:
-            return _best_swap(gram, key, None, inside, outside, criterion)
+            return _best_swap(gram, key, None, inside, outside, criterion, buffers)
     return best
 
 
@@ -280,6 +354,7 @@ def criterion_value(data: Dataset, indices, criterion: str) -> float:
     Raises SingularSubsetError when the subset's Gram matrix is singular
     or over- or underflows.
     """
+    of_type(data, Dataset, "data")
     one_of(criterion, CRITERIA, "criterion")
     return _subset_value(data, _check_indices(data, indices), criterion)
 
@@ -294,6 +369,7 @@ def iboss_select(data: Dataset, r: int) -> SubsetSelection:
     Reported ``value`` is the D-criterion of the result.
     ValidationError unless r <= n and r is a positive multiple of 2p.
     """
+    of_type(data, Dataset, "data")
     n, p = data.n, data.p
     r = subset_size(r, 1, n)
     if r % (2 * p) != 0:
@@ -326,32 +402,36 @@ def greedy_select(data: Dataset, r: int, criterion: str) -> SubsetSelection:
     maximizes the determinant of the growing Gram matrix; every later pick
     minimizes the criterion of the enlarged subset.
     """
+    of_type(data, Dataset, "data")
     one_of(criterion, CRITERIA, "criterion")
     n, p = data.n, data.p
     r = subset_size(r, p, n)
 
     X = _closed_form_design(data, criterion)
     chosen: list[int] = []
-    available = np.ones(n, dtype=bool)
+    taken = np.zeros(n, dtype=bool)
     basis = np.zeros((p, 0))
     gram = np.zeros((p, p))
     residual_tol = max(n, p) * _EPS * float(np.max(np.einsum("ij,ij->i", X, X), initial=0.0))
+    kept = None  # _d_pick's state
 
     while len(chosen) < r:
         if basis.shape[1] < p:
             resid = X - (X @ basis) @ basis.T
             scores = np.einsum("ij,ij->i", resid, resid)
-            scores[~available] = -np.inf
+            scores[taken] = -np.inf
             best = int(np.argmax(scores))
             if scores[best] > residual_tol:
                 direction = resid[best] / np.linalg.norm(resid[best])
                 basis = np.column_stack([basis, direction])
+        elif criterion == "D":
+            best, kept = _d_pick(X, gram, taken, kept)
         else:
-            pool = np.flatnonzero(available)
+            pool = np.flatnonzero(~taken)
             keys = _grown_keys(gram, X[pool], criterion)
             best = int(pool[np.argmin(keys)])
         chosen.append(best)
-        available[best] = False
+        taken[best] = True
         gram = _plus_outer(gram, X[best])
 
     idx = np.array(chosen)
@@ -368,6 +448,8 @@ def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelecti
     the input, up to rounding where the subset Gram matrix is nearly
     singular.
     """
+    of_type(data, Dataset, "data")
+    of_type(selection, SubsetSelection, "selection")
     criterion = one_of(selection.criterion, CRITERIA, "the criterion of an exchanged selection")
     idx = _check_indices(data, selection.indices)
     _subset_value(data, idx, criterion)
@@ -375,12 +457,12 @@ def exchange_improve(data: Dataset, selection: SubsetSelection) -> SubsetSelecti
     inside = np.zeros(data.n, dtype=bool)
     inside[idx] = True
 
-    accepted = np.inf
+    accepted, buffers = np.inf, _Buffers()
     while not inside.all():
         members, others = np.flatnonzero(inside), np.flatnonzero(~inside)
         current = X[members].T @ X[members]
         key, inverse = _inverse_factor(current, criterion)
-        best, out_k, in_k = _best_swap(current, key, inverse, X[members], X[others], criterion)
+        best, out_k, in_k = _best_swap(current, key, inverse, X[members], X[others], criterion, buffers)
         # a relative 1e-10 improvement of the criterion, on its log, over the
         # lower of the current key and the last accepted one: where rounding
         # makes the two disagree, keys still fall strictly, so the loop ends

@@ -16,7 +16,9 @@ two already-normalized vectors and is not renormalized again, which keeps
 its (1 - alpha)/n entrywise lower bound exact in floating point.
 
 BLEV, SLEV, RL and IC's all-zero-row check read the leverage kept with the
-dataset's factorization, one pass over the rows of U. The IC and PL weights
+dataset's factorization, one pass over the rows of U; where U is formed
+from the design a span at a time, IC's first pass keeps it from the spans
+its own norms are taken from, so U is formed once. The IC and PL weights
 are row norms of rows scaled column by column (U by ``s[-1] / s`` for IC, X
 by ``2^-e`` for PL), the square roots of one ``einsum`` per block of
 ``_ROW_BLOCK`` rows, each block scaled as one flat product: each row gets
@@ -123,14 +125,15 @@ def compute_probabilities(
         norms = np.sqrt(squares, out=squares)
         vector = _normalized(norms, "row-norm", out=norms)
     elif scheme == "IC":
-        full_rank_leverage(data, "scheme IC")  # all-zero rows would break the weighting later on
-        svd = factors(data)
+        svd = factors(data).full_rank("scheme IC")
         # Rows of X (X'X)^{-1} are the rows of U diag(1/s) V', and V' is
         # orthogonal, so the norms come straight from the scaled U rows. Scaling
         # by s[-1] / s <= 1 instead of 1 / s keeps them finite at any column
         # scale, and keeps each squared norm at most the row's leverage, so
-        # the leverage's zero-row verdict is theirs.
+        # the leverage's zero-row verdict is theirs. Where U is formed, the
+        # leverage is kept from the same spans.
         squares = svd.row_norms(svd.s[-1] / svd.s)
+        full_rank_leverage(data, "scheme IC")  # all-zero rows would break the weighting later on
         ic_raw = np.sqrt(squares, out=squares)
         vector = _normalized(ic_raw, "inverse-covariance", out=ic_raw)
     elif scheme == "RL":

@@ -20,10 +20,15 @@ from sublsq.cli import main
 from sublsq import optdesign
 from sublsq.optdesign import (
     CRITERIA,
+    _EPS,
     _batched_criterion,
     _best_swap,
+    _Buffers,
+    _closed_form_design,
+    _d_pick,
     _grown_keys,
     _inverse_factor,
+    _plus_outer,
     _subset_key,
     _swap_keys,
 )
@@ -98,6 +103,8 @@ def test_singular_subset_raises_distinct_error():
         criterion_value(d, [0, 0], "D")  # repeated index
     with pytest.raises(ValidationError):
         criterion_value(d, [0], "D")  # fewer than p rows
+    with pytest.raises(ValidationError, match="data must be a Dataset, got ndarray"):
+        criterion_value(d.design, [0, 2], "D")
 
 
 def test_iboss_univariate_example():
@@ -159,6 +166,8 @@ def test_iboss_validation():
         iboss_select(d, 3)  # not a multiple of 2p
     with pytest.raises(ValidationError):
         iboss_select(d, 1)
+    with pytest.raises(ValidationError, match="data must be a Dataset, got ndarray"):
+        iboss_select(d.design, 2)
 
 
 def _iboss_argsort(X, r):
@@ -285,6 +294,13 @@ def test_exchange_rejects_iboss_label():
     sel = iboss_select(d, 2)
     with pytest.raises(ValidationError):
         exchange_improve(d, sel)
+    # record arguments are type checked, greedy's too
+    with pytest.raises(ValidationError, match="selection must be a SubsetSelection, got NoneType"):
+        exchange_improve(d, None)
+    with pytest.raises(ValidationError, match="data must be a Dataset, got ndarray"):
+        exchange_improve(d.design, greedy_select(d, 2, "D"))
+    with pytest.raises(ValidationError, match="data must be a Dataset, got ndarray"):
+        greedy_select(d.design, 2, "D")
 
 
 def test_greedy_exchange_match_rate_light():
@@ -448,6 +464,135 @@ def test_closed_form_scoring_matches_the_eigenvalue_reference(n, p, r, criterion
     assert exchanged.value == pytest.approx(value, rel=1e-12)
 
 
+def _eigenfactor_greedy(data, r, criterion):
+    """greedy_select as it was before D kept its keys by rank-one updates:
+    every closed-form step factors the Gram matrix afresh and scores every
+    row not taken by _grown_keys."""
+    X = _closed_form_design(data, criterion)
+    n, p = X.shape
+    chosen = []
+    available = np.ones(n, dtype=bool)
+    basis = np.zeros((p, 0))
+    gram = np.zeros((p, p))
+    residual_tol = max(n, p) * _EPS * float(np.max(np.einsum("ij,ij->i", X, X), initial=0.0))
+    while len(chosen) < r:
+        if basis.shape[1] < p:
+            resid = X - (X @ basis) @ basis.T
+            scores = np.einsum("ij,ij->i", resid, resid)
+            scores[~available] = -np.inf
+            best = int(np.argmax(scores))
+            if scores[best] > residual_tol:
+                basis = np.column_stack([basis, resid[best] / np.linalg.norm(resid[best])])
+        else:
+            pool = np.flatnonzero(available)
+            best = int(pool[np.argmin(_grown_keys(gram, X[pool], criterion))])
+        chosen.append(best)
+        available[best] = False
+        gram = _plus_outer(gram, X[best])
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("n, p, r, df", [(2000, 10, 500, 3), (3000, 50, 200, 5)])
+def test_kept_d_keys_pick_as_the_per_step_eigenfactor(n, p, r, df):
+    # hundreds of rank-one updates of every row's key, and of G^{-1}, with no
+    # refactoring: drift would show as another pick
+    data = _design(np.random.default_rng(n + p).standard_t(df, (n, p)))
+    greedy = greedy_select(data, r, "D")
+    assert greedy.indices.tolist() == _eigenfactor_greedy(data, r, "D")
+    assert greedy.value == criterion_value(data, greedy.indices, "D")
+
+
+def test_kept_d_keys_restart_after_a_gram_the_eigenvalue_rule_calls_singular(monkeypatch):
+    # a fourth column within a few sqrt(eps) of nothing: with n < p^2 the span
+    # phase takes a direction whose Gram matrix the eigenvalue rule still calls
+    # singular, so the first D picks score by eigenvalues, and a later pick
+    # forms the kept keys afresh
+    grown = []
+    monkeypatch.setattr(optdesign, "_grown_keys", lambda *a: grown.append(1) or _grown_keys(*a))
+    eps, restarts = np.finfo(float).eps, 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 15))
+        X = np.zeros((n, 4))
+        X[:, :3] = 1.0 + 0.3 * rng.standard_normal((n, 3))
+        X[:, 3] = np.sqrt(eps) * 10 ** rng.uniform(0, 0.8) * rng.standard_normal(n)
+        grown.clear()
+        try:
+            picks = greedy_select(_design(X), n - 1, "D").indices.tolist()
+        except SingularSubsetError:
+            continue
+        restarts += 0 < len(grown) < n - 5
+        assert picks == _eigenfactor_greedy(_design(X), n - 1, "D"), seed
+    assert restarts >= 5
+
+
+def test_kept_d_key_that_is_not_finite_falls_back_to_a_fresh_step():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((50, 3))
+    gram, taken = X[:5].T @ X[:5], np.zeros(50, dtype=bool)
+    taken[:5] = True
+    best, kept = _d_pick(X, gram, taken, None)
+    pool = np.flatnonzero(~taken)
+    assert best == pool[np.argmin(_grown_keys(gram, X[pool], "D"))]
+    ginv, d, work = kept
+    np.testing.assert_allclose(ginv, np.linalg.inv(gram + np.outer(X[best], X[best])), rtol=1e-12)
+    d[7] = np.nan
+    taken[best] = True
+    gram = gram + np.outer(X[best], X[best])
+    best, kept = _d_pick(X, gram, taken, (ginv, d, work))
+    pool = np.flatnonzero(~taken)
+    assert kept is None
+    assert best == pool[np.argmin(_grown_keys(gram, X[pool], "D"))]
+
+
+def _allocating_swap_keys(key, mu, zu, zx, criterion):
+    """_swap_keys as it was before its temporaries were kept across rounds."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = zu @ zx.T
+        du, dx = np.square(zu).sum(axis=1)[:, None], np.square(zx).sum(axis=1)
+        ratio = (1.0 - du) * (1.0 + dx) + c * c
+        finite = np.isfinite(ratio).all()
+        ok = ratio > 0
+        if criterion == "D":
+            keys = key - np.log(np.where(ok, ratio, 1.0))
+        else:
+            qu, qx = (np.square(zu) @ mu)[:, None], np.square(zx) @ mu
+            quc = (zu * mu) @ zx.T
+            numerator = (du - 1.0) * qx - 2.0 * c * quc + (1.0 + dx) * qu
+            finite &= np.isfinite(numerator).all()
+            trace = mu.sum() + numerator / np.where(ok, ratio, 1.0)
+            ok &= trace > 0
+            keys = np.log(np.where(ok, trace, 1.0))
+    return np.where(ok, keys, np.inf) if finite else None
+
+
+@pytest.mark.parametrize("criterion", ["A", "D"])
+def test_swap_keys_in_kept_buffers_keep_their_bits(criterion):
+    # one _Buffers through blocks of every shape, as across exchange rounds;
+    # outside rows of any scale, some repeating an inside row, give keys that
+    # are inf (a singular swap) or not finite (an overflow)
+    buffers, rng, seen = _Buffers(), np.random.default_rng(6), set()
+    for trial in range(60):
+        p = int(rng.integers(1, 8))
+        inside = rng.standard_t(3, (int(rng.integers(p, 3 * p + 3)), p))
+        outside = rng.standard_t(3, (int(rng.integers(1, 300)), p)) * 10.0 ** rng.uniform(-160, 160)
+        outside[: trial % 3] = inside[0]
+        key, (mu, factor) = _inverse_factor(inside.T @ inside, criterion)
+        with np.errstate(over="ignore"):
+            zu, zx = inside @ factor, outside @ factor
+        for start in range(0, zu.shape[0], 4):
+            block = slice(start, start + 4)
+            keys = _swap_keys(key, mu, zu[block], zx, criterion, buffers)
+            reference = _allocating_swap_keys(key, mu, zu[block], zx, criterion)
+            assert (keys is None) == (reference is None)
+            if keys is None:
+                seen.add("none")
+            else:
+                assert np.array_equal(keys, reference)
+                seen.update(["inf"] if np.isinf(keys).any() else [])
+    assert seen == {"none", "inf"}
+
+
 @pytest.mark.parametrize("criterion", list("ADE"))
 @pytest.mark.parametrize("p", [1, 3, 8])
 def test_closed_form_keys_match_the_updated_grams(p, criterion):
@@ -465,9 +610,9 @@ def test_closed_form_keys_match_the_updated_grams(p, criterion):
     ])
     if inverse is not None:
         mu, factor = inverse
-        keys = _swap_keys(key, mu, inside @ factor, outside @ factor, criterion)
+        keys = _swap_keys(key, mu, inside @ factor, outside @ factor, criterion, _Buffers())
         np.testing.assert_allclose(keys, swapped, rtol=1e-12, atol=1e-12)
-    best, out_k, in_k = _best_swap(gram, key, inverse, inside, outside, criterion)
+    best, out_k, in_k = _best_swap(gram, key, inverse, inside, outside, criterion, _Buffers())
     assert best == pytest.approx(swapped.min(), rel=1e-12)
     assert swapped[out_k, in_k] == pytest.approx(swapped.min(), rel=1e-12)
 

@@ -208,6 +208,25 @@ def test_ic_and_pl_weights_allocate_no_n_by_p_temporary():
     assert _traced_peak(fresh(), "PL") < X.nbytes / 2
 
 
+@pytest.mark.parametrize("scale, maps", [(1.0, 1), (1e4, 2)])
+def test_ic_forms_the_spans_of_u_once_and_keeps_the_leverage_from_them(scale, maps, monkeypatch):
+    # one map up to cond 1e3, two beyond; IC's norms and the leverage its
+    # zero-row check reads come from one pass, with the bits of two
+    X = np.random.default_rng(9).standard_t(5, (20_000, 5)) * np.array([1.0, 1.0, 1.0, 1.0, scale])
+    fresh, reference = (Dataset(design=X, response=np.zeros(len(X))) for _ in range(2))
+    assert len(core.factors(fresh).maps) == len(core.factors(reference).maps) == maps
+    leverage = core.factors(reference).leverage  # kept first, so IC forms U again
+    ic = compute_probabilities(reference, "IC").probs
+    spans, times_spans = [], core._times_spans
+    monkeypatch.setattr(core, "_times_spans", lambda *args: spans.append(args) or times_spans(*args))
+    assert np.array_equal(compute_probabilities(fresh, "IC").probs, ic)
+    assert len(spans) == 1
+    assert np.array_equal(core.factors(fresh).leverage, leverage)
+    blev = compute_probabilities(fresh, "BLEV").probs  # reads the kept leverage
+    assert np.array_equal(blev, compute_probabilities(reference, "BLEV").probs)
+    assert len(spans) == 1
+
+
 def test_orthonormal_coincidence():
     rng = np.random.default_rng(12)
     Q, _ = np.linalg.qr(rng.standard_normal((30, 4)))
