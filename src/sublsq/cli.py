@@ -33,7 +33,7 @@ from .asymptotics import (
     sigma2_estimate,
     trace_amse,
 )
-from .core import Dataset, ols_fit, one_of
+from .core import Dataset, _times_spans, ols_fit, one_of
 from .errors import NumericalError, ValidationError
 from .optdesign import CRITERIA
 from .probs import SCHEMES, compute_probabilities
@@ -41,7 +41,6 @@ from .sampler import MODES
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 12345
-_CSV_BLOCK_ROWS = 8192
 # `select --method` value -> its entry in the bench selection table.
 _SELECT_METHODS = {
     "iboss": "IBOSS",
@@ -461,9 +460,8 @@ def _run_simulate(args):
     try:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join([f"x{j + 1}" for j in range(data.p)] + ["y"]) + "\n")
-            for start in range(0, data.n, _CSV_BLOCK_ROWS):
-                block = slice(start, start + _CSV_BLOCK_ROWS)
-                rows = np.column_stack([data.design[block], data.response[block]]).tolist()
+            for lo, block in _times_spans(data.design):
+                rows = np.column_stack([block, data.response[lo : lo + len(block)]]).tolist()
                 fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
     except OSError as exc:
         raise ValidationError(f"cannot write {args.output}: {exc}") from exc

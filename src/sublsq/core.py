@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-_ROW_BLOCK = 4096  # rows per block of the per-row work on a kept array: IC and PL norms, U' Omega U
+_ROW_BLOCK = 4096  # rows per block of _times_spans with no map: IC and PL norms, U' Omega U
 _SPAN = 2048  # least rows per span of a product with the design: U, Q1 (see _times_spans)
 _RESIDUAL_ROWS = 1 << 16  # rows per block of a fit's residual where U is formed from the design
 _GEMV_ENTRIES = 8192  # entries of a gemv OpenBLAS runs on one thread: below 2304 * GEMM_MULTITHREAD_THRESHOLD
@@ -120,12 +120,11 @@ def _real(value) -> bool:
 def pow2_exponent(a: np.ndarray) -> int:
     """The exponent e that puts ``max|a| * 2^-e`` in [0.5, 1); 0 where ``a`` is all zero.
 
-    Taken over blocks of ``_ROW_BLOCK`` rows, so that a tall ``a`` is read
+    Taken over the blocks of ``_times_spans(a)``, so that a tall ``a`` is read
     from memory once: the min of a block reads it from cache after its max.
     """
     hi = lo = 0.0
-    for start in range(0, a.shape[0], _ROW_BLOCK):
-        block = a[start : start + _ROW_BLOCK]
+    for _, block in _times_spans(a):
         hi, lo = max(hi, float(block.max())), min(lo, float(block.min()))
     return math.frexp(max(hi, -lo))[1]
 
@@ -240,19 +239,21 @@ CHOLQR_MAX_COND = 1e5
 _ONE_MAP_MAX_COND = 1e3
 
 
-def _times_spans(design: np.ndarray, *maps: np.ndarray):
-    """``(lo, design[lo:hi] @ maps[0] @ ...)`` over spans of rows, the longer
-    first, of lengths that differ by at most one and are at least ``_SPAN``
-    unless n is shorter: a shorter product can take another BLAS kernel with
-    other bits (gemv, OpenBLAS's small-matrix path). Each product is written
-    into a reused buffer of its own: read each before the next."""
-    n = design.shape[0]
+def _times_spans(a: np.ndarray, *maps: np.ndarray):
+    """``(lo, a[lo:hi] @ maps[0] @ ...)`` over the rows of ``a``: the one walk
+    over a kept array's rows. With no maps, views of ``_ROW_BLOCK`` rows, the
+    last shorter. With maps, spans, the longer first, of lengths that differ
+    by at most one and are at least ``_SPAN`` unless n is shorter: a shorter
+    product can take another BLAS kernel with other bits (gemv, OpenBLAS's
+    small-matrix path). Each product is written into a reused buffer of its
+    own: read each before the next."""
+    n = a.shape[0]
     k = max(1, n // _SPAN)
     q, r = divmod(n, k)
-    buffers = [np.empty((q + (r > 0), m.shape[1])) for m in maps]
-    for i in range(k):
-        lo, hi = i * q + min(i, r), (i + 1) * q + min(i + 1, r)
-        block = design[lo:hi]
+    bounds = [i * q + min(i, r) for i in range(k + 1)] if maps else [*range(0, n, _ROW_BLOCK), n]
+    buffers = [np.empty((bounds[1], m.shape[1])) for m in maps]
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = a[lo:hi]
         for buffer, m in zip(buffers, maps):
             block = np.matmul(block, m, out=buffer[: hi - lo])
         yield lo, block
@@ -318,23 +319,21 @@ class Factorization:
     rank: int
 
     def blocks(self, cols: int):
-        """``_times_spans`` of U's first ``cols`` columns, where X is kept: a
-        reader may scale a block in place, but must read it before the next."""
+        """``_times_spans`` of U's first ``cols`` columns: views of a kept U,
+        or spans formed from X, which a reader may scale in place, but must
+        read before the next."""
+        if not self.maps:
+            return _times_spans(self.basis[:, :cols])
         return _times_spans(self.basis, *self.maps[:-1], self.maps[-1][:, :cols])
 
     @property
     def U(self) -> np.ndarray:
         """U whole and frozen, formed at each read where X is kept: nothing
         in the package reads it."""
-        if not self.maps:
-            return self.basis
-        U = np.empty((self.basis.shape[0], self.s.size))
-        for lo, block in self.blocks(self.s.size):
-            U[lo : lo + block.shape[0]] = block
-        return _freeze(U)
+        return _freeze(self.take(slice(None)))
 
     def take(self, indices) -> np.ndarray:
-        """U's rows at an integer array of row indices, of any shape."""
+        """U's rows at an integer array of row indices, of any shape, or a slice."""
         return functools.reduce(np.matmul, self.maps, self.basis[indices])
 
     def project(self, b: np.ndarray) -> np.ndarray:
@@ -345,14 +344,14 @@ class Factorization:
 
     def row_norms(self, scale=None) -> np.ndarray:
         """``_squared_row_norms`` of the first ``rank`` columns of U, times
-        ``scale``. Where U is formed and the leverage not yet kept, it is
-        kept too, from the same spans."""
-        if self.maps and scale is not None and "_leverage" not in self.__dict__:
-            leverage = np.empty(self.basis.shape[0])
-            out = _squared_row_norms(self, scale, leverage)
-            cached_on(self, "_leverage", lambda: _freeze(leverage))
-            return out
-        return _squared_row_norms(self if self.maps else self.basis[:, : self.rank], scale)
+        ``scale``. Where the leverage is not yet kept, it is kept too, from
+        the same blocks."""
+        if scale is None or "_leverage" in self.__dict__:
+            return _squared_row_norms(self, scale)
+        leverage = np.empty(self.basis.shape[0])
+        out = _squared_row_norms(self, scale, leverage)
+        cached_on(self, "_leverage", lambda: _freeze(leverage))
+        return out
 
     @property
     def leverage(self) -> np.ndarray:
@@ -369,9 +368,9 @@ class Factorization:
     def weighted_gram(self, probs) -> np.ndarray:
         """The frozen p x p matrix ``U' diag(1/pi) U`` for the ProbabilityVector ``probs``.
 
-        ``Y' diag(1/pi) Y`` summed over blocks of rows, then ``t' (. t)`` for
-        ``U = Y t``: Y is a kept U, the design X (``t`` its one map), or else
-        Q1 (``t = T``). Computed at the first call, then kept per vector in a
+        ``Y' diag(1/pi) Y`` summed over the blocks of ``_times_spans``, then
+        ``t' (. t)`` for ``U = Y t``: Y is a kept U, the design X (``t`` its
+        one map), or else Q1 (``t = T``). Computed at the first call, then kept per vector in a
         ``WeakKeyDictionary``, made at first use, so an entry goes with its
         vector; a race sums twice. Callers check the rank, the length of pi
         and that pi > 0 first.
@@ -379,11 +378,8 @@ class Factorization:
         grams = cached_on(self, "_grams", weakref.WeakKeyDictionary)
         gram = grams.get(probs)
         if gram is None:
-            B, pi, rows = self.basis, probs.probs[:, None], _ROW_BLOCK
-            if len(self.maps) > 1:
-                blocks = _times_spans(B, self.maps[0])
-            else:
-                blocks = ((lo, B[lo : lo + rows]) for lo in range(0, B.shape[0], rows))
+            pi = probs.probs[:, None]
+            blocks = _times_spans(self.basis, *self.maps[:-1])
             with np.errstate(over="ignore", invalid="ignore"):  # the callers check their results
                 gram = sum(_row_products(Y, Y / pi[lo : lo + Y.shape[0]]) for lo, Y in blocks)
                 if self.maps:  # t' (gram t), each a sum in one order
@@ -523,26 +519,24 @@ def leverage_scores(data: Dataset) -> np.ndarray:
 def _squared_row_norms(rows, scale=None, unscaled=None) -> np.ndarray:
     """``einsum("ij,ij->i", S, S)``: the squared row norms of ``S = rows``, or
     of ``S = rows * scale``, with ``scale`` one factor per column or one for
-    all. ``rows`` is an n x k array, scaled ``_ROW_BLOCK`` rows at a time,
-    or a ``Factorization`` that forms U, for U's first rank columns, a span at
-    a time (``Factorization.blocks``); for one, an n-vector ``unscaled``
-    takes the squared norms of each span before it is scaled.
+    all. ``rows`` is an n x k array, read in the blocks of
+    ``_times_spans(rows)``, or a ``Factorization``, for U's first rank
+    columns, read in the blocks of its ``blocks``: views of a kept U, or
+    spans formed from X. An n-vector ``unscaled`` takes the squared norms of
+    each block before it is scaled.
 
-    Each block is scaled as one flat product, in place where it was formed,
-    into one reused buffer otherwise: per column factors are tiled to the
+    Each block is scaled as one flat product: in place where a map formed it
+    into the package's own buffer, into one reused buffer otherwise, so no
+    caller's or kept array is written. Per column factors are tiled to the
     first block's length, about 4x faster at p = 10 than the broadcast
     product, and the same products. Each entry is scaled alone and einsum
     reduces each row alone, so every norm has the bits of one unblocked
     call, and no temporary is larger than one block.
     """
-    formed = isinstance(rows, Factorization)
-    if formed:
-        n, blocks = rows.basis.shape[0], rows.blocks(rows.rank)
-    elif scale is None:
-        return np.einsum("ij,ij->i", rows, rows)
+    if isinstance(rows, Factorization):
+        n, blocks, formed = rows.basis.shape[0], rows.blocks(rows.rank), bool(rows.maps)
     else:
-        n = rows.shape[0]
-        blocks = ((lo, rows[lo : lo + _ROW_BLOCK]) for lo in range(0, n, _ROW_BLOCK))
+        n, blocks, formed = rows.shape[0], _times_spans(rows), False
     out, factors = np.empty(n), None
     for lo, block in blocks:
         if unscaled is not None:
