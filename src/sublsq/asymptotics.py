@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _real, factors, ols_fit, one_of, set_fields, subset_size
+from .core import Dataset, _real, as_array, factors, of_type, ols_fit, one_of, set_fields, subset_size
 from .errors import NumericalError, ValidationError
 from .probs import ProbabilityVector
 
@@ -52,7 +52,7 @@ class AsymptoticVariance:
     r: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64, order="C")
+        m = as_array(self.matrix, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("matrix must be square")
         if not np.isfinite(m).all():
@@ -86,17 +86,20 @@ class RegularityDiagnostics:
     condition_ratio: float
 
 
-def _paired(probs: ProbabilityVector, n: int, r: int) -> tuple[np.ndarray, int]:
-    """``probs.probs`` and r as an int, once r >= 1 and the length n are checked."""
+def _paired(data: Dataset, probs: ProbabilityVector, r: int) -> tuple[np.ndarray, int]:
+    """``probs.probs`` and r as an int, once both records, r >= 1 and the
+    length of pi are checked."""
+    n = of_type(data, Dataset, "data").n
     r = subset_size(r, 1)
-    if probs.n != n:
+    if of_type(probs, ProbabilityVector, "probs").n != n:
         raise ValidationError("probability vector length does not match the dataset")
     return probs.probs, r
 
 
-def _checked_r(probs: ProbabilityVector, n: int, r: int, sigma2: float) -> int:
-    """r as an int, once r, sigma2 and pi > 0, the inputs of Omega = diag(1 / (r pi)), are checked."""
-    pi, r = _paired(probs, n, r)
+def _checked_r(data: Dataset, probs: ProbabilityVector, r: int, sigma2: float) -> int:
+    """r as an int, once ``_paired``'s checks, sigma2 and pi > 0, the inputs
+    of Omega = diag(1 / (r pi)), are checked."""
+    pi, r = _paired(data, probs, r)
     if not _real(sigma2) or not 0 < sigma2 < np.inf:
         raise ValidationError(f"sigma2 must be a positive real, got {sigma2}")
     if np.any(pi <= 0):
@@ -112,7 +115,7 @@ def avar_matrix(
 ) -> AsymptoticVariance:
     """Asymptotic covariance of the weighted subsample estimator, from
     ``U' Omega U = G / r`` with the kept ``G = U' diag(1/pi) U``."""
-    r = _checked_r(probs, data.n, r, sigma2)
+    r = _checked_r(data, probs, r, sigma2)
     svd = factors(data).full_rank("the asymptotic variance")
     A = svd.Vt.T / svd.s
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
@@ -139,7 +142,7 @@ def trace_amse(
     ``G = U' diag(1/pi) U`` over r, so a first call sums all of G.
     """
     one_of(target, TARGETS, "target")
-    r = _checked_r(probs, data.n, r, sigma2)
+    r = _checked_r(data, probs, r, sigma2)
     svd = factors(data).full_rank("the asymptotic MSE")
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
         per_direction = 1.0 + np.diag(svd.weighted_gram(probs)) / r
@@ -152,7 +155,7 @@ def trace_amse(
 
 def sigma2_estimate(data: Dataset) -> float:
     """Residual noise variance from the full-sample OLS fit."""
-    if data.n <= data.p:
+    if of_type(data, Dataset, "data").n <= data.p:
         raise ValidationError(f"noise estimation needs n > p, got n={data.n}, p={data.p}")
     factors(data).full_rank("noise estimation")
     return ols_fit(data).residual_ss / (data.n - data.p)
@@ -165,7 +168,7 @@ def regularity_diagnostics(
 
     ``condition_ratio`` equals the squared condition number of the design.
     """
-    pi, _ = _paired(probs, data.n, r)
+    pi, _ = _paired(data, probs, r)
     s = factors(data).s
     # From s, not from s*s/n, which underflows long before s[0]/s[-1] does.
     ratio = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf

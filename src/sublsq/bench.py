@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, _real, factors, ols_fit, one_of, subset_size, trusted, weighted_ls_fit
+from .core import Dataset, _real, factors, of_type, ols_fit, one_of, subset_size, trusted, weighted_ls_fit
 from .errors import NumericalError, ValidationError
 from .optdesign import CRITERIA, exchange_improve, greedy_select, iboss_select
 from .probs import DEFAULT_SLEV_ALPHA, SCHEMES, compute_probabilities, slev_alpha
@@ -124,7 +124,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: SeedLike) -> Dataset:
     byte-identical. The arrays are fresh, so the record takes them as they
     are, once they pass the ``Dataset`` finite checks."""
     rng = derive_rng(seed, "synthetic")
-    if spec.design_family == "gaussian":
+    if of_type(spec, SyntheticSpec, "spec").design_family == "gaussian":
         design = rng.standard_normal((spec.n, spec.p))
     elif spec.design_family == "student_t":
         design = rng.standard_t(spec.df, size=(spec.n, spec.p))
@@ -177,6 +177,7 @@ class BenchmarkReport:
 
 
 def default_r_grid(p: int) -> tuple[int, ...]:
+    p = subset_size(p, 1, what="p")
     return tuple(m * p for m in DEFAULT_R_MULTIPLES)
 
 
@@ -264,6 +265,14 @@ def _method_cells(
     return cells
 
 
+def _listed(values, what: str):
+    """An iterator over ``values``; ValidationError naming ``what`` where they are not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be iterable, got {type(values).__name__}") from None
+
+
 def run_emse(
     data: Dataset,
     methods,
@@ -286,8 +295,9 @@ def run_emse(
     every bootstrap sample keeps the input's n and p. Empty or repeated
     ``methods`` or ``r_values`` raise before any replicate runs.
     """
-    methods = tuple(one_of(m, REGISTERED_METHODS, "method", upper=True) for m in methods)
-    r_values = tuple(subset_size(r, data.p) for r in r_values)
+    methods = tuple(one_of(m, REGISTERED_METHODS, "method", upper=True) for m in _listed(methods, "methods"))
+    p = of_type(data, Dataset, "data").p
+    r_values = tuple(subset_size(r, p) for r in _listed(r_values, "r_values"))
     for what, values in (("methods", methods), ("r_values", r_values)):
         if not values:
             raise ValidationError(f"{what} must not be empty")

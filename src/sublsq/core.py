@@ -129,10 +129,20 @@ def pow2_exponent(a: np.ndarray) -> int:
     return math.frexp(max(hi, -lo))[1]
 
 
+def as_array(values, name: str, dtype=np.float64) -> np.ndarray:
+    """A C-contiguous ``dtype`` copy of ``values``; ValidationError naming
+    ``name`` where numpy cannot convert them: the one conversion of a
+    caller's array."""
+    try:
+        return np.array(values, dtype=dtype, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be numeric: {exc}") from None
+
+
 def row_indices(indices, n: float = np.inf, distinct: bool = False) -> np.ndarray:
     """A nonempty vector of integers (not floats or bools) in [0, n), distinct
     where asked, as contiguous intp; ValidationError otherwise."""
-    idx = np.asarray(indices)
+    idx = as_array(indices, "row indices", None)
     if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
         raise ValidationError("row indices must be a nonempty vector of integers")
     idx = np.ascontiguousarray(idx, dtype=np.intp)  # uint64 beyond intp wraps negative
@@ -144,8 +154,8 @@ def row_indices(indices, n: float = np.inf, distinct: bool = False) -> np.ndarra
 
 
 def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
-    """A C-contiguous float64 copy of ``values``, checked for ``ndim`` and finiteness."""
-    a = np.array(values, dtype=np.float64, order="C")
+    """A float64 ``as_array`` of ``values``, checked for ``ndim`` and finiteness."""
+    a = as_array(values, name)
     if a.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -478,7 +488,7 @@ def ols_fit(data: Dataset) -> EstimateResult:
     Raises NumericalError where the coefficients or the residual sum of
     squares overflow.
     """
-    return _fit(factors(data), data.response)
+    return _fit(factors(of_type(data, Dataset, "data")), data.response)
 
 
 def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
@@ -490,7 +500,8 @@ def weighted_ls_fit(data: Dataset, weights) -> EstimateResult:
     and finite. ``residual_ss`` is the minimized weighted objective;
     NumericalError where it, the coefficients or the rescaled design overflow.
     """
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    of_type(data, Dataset, "data")
+    w = as_array(weights, "weights").reshape(-1)
     if w.shape[0] != data.n:
         raise ValidationError(f"weights length {w.shape[0]} does not match n={data.n}")
     if not np.all(np.isfinite(w)):
@@ -513,7 +524,7 @@ def leverage_scores(data: Dataset) -> np.ndarray:
     design this equals ``x_i' (X'X)^{-1} x_i`` and the scores sum to p.
     """
     # Projection diagonals live in [0, 1]; shave off rounding overshoot, in a copy.
-    return _freeze(np.clip(factors(data).leverage, 0.0, 1.0))
+    return _freeze(np.clip(factors(of_type(data, Dataset, "data")).leverage, 0.0, 1.0))
 
 
 def _squared_row_norms(rows, scale=None, unscaled=None) -> np.ndarray:

@@ -16,13 +16,14 @@ two already-normalized vectors and is not renormalized again, which keeps
 its (1 - alpha)/n entrywise lower bound exact in floating point.
 
 BLEV, SLEV, RL and IC's all-zero-row check read the leverage kept with the
-dataset's factorization, one pass over the rows of U; where U is formed
-from the design a span at a time, IC's first pass keeps it from the spans
-its own norms are taken from, so U is formed once. The IC and PL weights
-are row norms of rows scaled column by column (U by ``s[-1] / s`` for IC, X
-by ``2^-e`` for PL), the square roots of one ``einsum`` per block of
-``_ROW_BLOCK`` rows, each block scaled as one flat product: each row gets
-the bits of one call over all rows, and no n x p temporary is allocated.
+dataset's factorization, one pass over the rows of U. IC's first pass keeps
+it from the blocks its own norms are taken from, whether the record keeps
+LAPACK's U or forms U from the design a span at a time, so U is read once.
+The IC and PL weights are row norms of rows scaled column by column (U by
+``s[-1] / s`` for IC, X by ``2^-e`` for PL), the square roots of one
+``einsum`` per block of the one row walker, ``core._times_spans``, each
+block scaled as one flat product: each row gets the bits of one call over
+all rows, and no n x p temporary is allocated.
 Each vector is normalized in its own memory, never in the kept leverage,
 and built by ``core.trusted``, without the constructor's copy and checks,
 which it meets by construction. PL's ``2^-e`` puts max|X| in [0.5, 1), so
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Dataset, _real, _squared_row_norms, factors, full_rank_leverage, one_of, pow2_exponent, set_fields, trusted
+    Dataset, _real, _squared_row_norms, as_array, factors, full_rank_leverage, of_type, one_of, pow2_exponent,
+    set_fields, trusted
 )
 from .errors import DegenerateDistributionError, ValidationError
 
@@ -63,7 +65,7 @@ class ProbabilityVector:
     alpha: float | None = None
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64, order="C")
+        probs = as_array(self.probs, "probs")
         if probs.ndim != 1:
             raise ValidationError("probs must be a vector")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
@@ -112,7 +114,7 @@ def compute_probabilities(
     if scheme == "SLEV":
         alpha = slev_alpha(alpha)
 
-    n = data.n
+    n = of_type(data, Dataset, "data").n
     if scheme == "RAND":
         vector = np.full(n, 1.0 / n)
     elif scheme == "PL":

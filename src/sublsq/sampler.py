@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Dataset, EstimateResult, cached_on, ols_fit, one_of, row_indices, set_fields, subset_size, trusted, weighted_ls_fit
+    Dataset, EstimateResult, as_array, cached_on, of_type, ols_fit, one_of, row_indices, set_fields, subset_size,
+    trusted, weighted_ls_fit
 )
 from .errors import ValidationError
 from .probs import ProbabilityVector
@@ -59,8 +60,8 @@ class SubsampleDraw:
     seed: SeedLike
 
     def __post_init__(self):
-        idx = row_indices(np.array(self.indices))
-        dp = np.array(self.draw_probs, dtype=np.float64, order="C")
+        idx = row_indices(self.indices)
+        dp = as_array(self.draw_probs, "draw_probs")
         if idx.shape != dp.shape:
             raise ValidationError("indices and draw_probs must be matching vectors")
         set_fields(self, indices=idx, draw_probs=_drawn(dp))
@@ -238,7 +239,7 @@ def draw(probs: ProbabilityVector, r: int, seed: SeedLike) -> SubsampleDraw:
     Identical (probs, r, seed) triples yield bit-identical draws.
     """
     r = subset_size(r, 1)
-    n = probs.n
+    n = of_type(probs, ProbabilityVector, "probs").n
     rng = derive_rng(seed)
     cells = rng.integers(0, n, size=r)
     u = rng.random(r)
@@ -261,7 +262,7 @@ def subsample_estimate(data: Dataset, draw: SubsampleDraw, mode: str) -> Estimat
     ``rank < p`` on the result.
     """
     one_of(mode, MODES, "mode")
-    sub = data.take_rows(draw.indices)
+    sub = of_type(data, Dataset, "data").take_rows(of_type(draw, SubsampleDraw, "draw").indices)
     if mode == "plain":
         return ols_fit(sub)
     return weighted_ls_fit(sub, 1.0 / draw.draw_probs)

@@ -40,7 +40,9 @@ from itertools import combinations
 import numpy as np
 
 from .core import _FLOAT_BLOCK as _BLOCK  # index-gathered floats per block
-from .core import Dataset, Factorization, factors, full_rank_leverage, one_of, set_fields, subset_size
+from .core import (
+    Dataset, Factorization, as_array, factors, full_rank_leverage, of_type, one_of, set_fields, subset_size
+)
 from .errors import CapacityError, DegenerateDistributionError, SamplingError, ValidationError
 from .rng import SeedLike, derive_rng
 
@@ -70,8 +72,8 @@ class SubsetDistribution:
     masses: np.ndarray
 
     def __post_init__(self):
-        subsets = np.array(self.subsets, dtype=np.intp, order="C")
-        masses = np.array(self.masses, dtype=np.float64, order="C")
+        subsets = as_array(self.subsets, "subsets", np.intp)
+        masses = as_array(self.masses, "masses")
         if subsets.ndim != 2 or masses.ndim != 1 or subsets.shape[0] != masses.shape[0]:
             raise ValidationError("subsets and masses must have matching leading length")
         if np.any(masses < 0):
@@ -129,7 +131,7 @@ def standard_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     makes them sum to one without numerical renormalization; they are
     formed from log-determinants, and no scale of the design reaches them.
     """
-    n, p = data.n, data.p
+    n, p = of_type(data, Dataset, "data").n, data.p
     if n > ENUMERATION_MAX_N:
         raise CapacityError(f"subset enumeration is capped at n={ENUMERATION_MAX_N}, got n={n}")
     r = subset_size(r, p, n)
@@ -148,7 +150,7 @@ def leveraged_volume_distribution(data: Dataset, r: int) -> SubsetDistribution:
     ``q = leverage/p``; the constant is fixed numerically, in log space
     relative to the largest weight. Bounded by ``n^r`` enumerated states.
     """
-    n, p = data.n, data.p
+    n, p = of_type(data, Dataset, "data").n, data.p
     r = subset_size(r, p)
     if n**r > LEVERAGED_ENUMERATION_LIMIT:
         raise CapacityError(
@@ -296,7 +298,7 @@ def volume_sample(data: Dataset, r: int, variant: str, seed: SeedLike, size: int
     rng = derive_rng(seed)
     one = size is None
     count = 1 if one else subset_size(size, 1, what="size")
-
+    of_type(data, Dataset, "data")
     if variant == "standard":
         rows = _standard_draws(data, subset_size(r, data.p, data.n), rng, count)
     else:

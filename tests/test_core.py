@@ -367,6 +367,40 @@ def test_design_read_fits_and_amse_keep_their_accuracy(cond, maps):
     assert trace_amse(data, probs, 500, sigma2, "beta") == pytest.approx(restated, rel=1e-8, abs=0)
 
 
+WEIGHTED_GRAM_DESIGNS = {
+    # cond 1e6 is past the Cholesky path: LAPACK's U is kept
+    "kept_u": (lambda: _designed_condition(10_000, 4, 1e6), 0),
+    "one_map": (lambda: _student_t(21, 10_000, 4), 1),
+    "two_maps": (lambda: _designed_condition(10_000, 4, 1e4), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_GRAM_DESIGNS))
+def test_weighted_gram_has_the_bits_of_its_blocked_restatement(name):
+    # Y' diag(1/pi) Y summed by the one row kernel over 4,096-row views of a
+    # kept U or of X, or over the spans of Q1 past cond 1e3, then t' (G t)
+    build, maps = WEIGHTED_GRAM_DESIGNS[name]
+    X = build()
+    data = Dataset(design=X, response=np.zeros(len(X)))
+    svd = core.factors(data)
+    assert len(svd.maps) == maps
+    probs = compute_probabilities(data, "BLEV")
+    pi = probs.probs[:, None]
+    n = len(X)
+    if maps == 2:
+        k = n // core._SPAN
+        bounds = [i * (n // k) + min(i, n % k) for i in range(k + 1)]
+        blocks = [(a, X[a:b] @ svd.maps[0]) for a, b in zip(bounds, bounds[1:])]
+    else:
+        blocks = [(a, svd.basis[a : a + _ROW_BLOCK]) for a in range(0, n, _ROW_BLOCK)]
+    assert len(blocks) > 2
+    gram = sum(core._row_products(Y, Y / pi[a : a + len(Y)]) for a, Y in blocks)
+    if maps:
+        t = svd.maps[-1]
+        gram = core._row_products(t, core._row_products(gram.T, t))
+    assert np.array_equal(svd.weighted_gram(probs), gram)
+
+
 def test_blev_draws_on_cholesky_path_are_pinned():
     # recorded before the Cholesky path existed, when gesdd factored this design
     spec = SyntheticSpec(

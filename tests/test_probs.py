@@ -208,11 +208,13 @@ def test_ic_and_pl_weights_allocate_no_n_by_p_temporary():
     assert _traced_peak(fresh(), "PL") < X.nbytes / 2
 
 
-@pytest.mark.parametrize("scale, maps", [(1.0, 1), (1e4, 2)])
+@pytest.mark.parametrize("scale, maps", [(1.0, 1), (1e4, 2), (1.0, 0)])
 def test_ic_forms_the_spans_of_u_once_and_keeps_the_leverage_from_them(scale, maps, monkeypatch):
-    # one map up to cond 1e3, two beyond; IC's norms and the leverage its
-    # zero-row check reads come from one pass, with the bits of two
-    X = np.random.default_rng(9).standard_t(5, (20_000, 5)) * np.array([1.0, 1.0, 1.0, 1.0, scale])
+    # one map up to cond 1e3, two beyond, and LAPACK's kept U below the size
+    # gate; IC's norms and the leverage its zero-row check reads come from
+    # one pass, with the bits of two
+    n = 2_000 if maps == 0 else 20_000
+    X = np.random.default_rng(9).standard_t(5, (n, 5)) * np.array([1.0, 1.0, 1.0, 1.0, scale])
     fresh, reference = (Dataset(design=X, response=np.zeros(len(X))) for _ in range(2))
     assert len(core.factors(fresh).maps) == len(core.factors(reference).maps) == maps
     leverage = core.factors(reference).leverage  # kept first, so IC forms U again
