@@ -380,10 +380,10 @@ class Factorization:
 
         ``Y' diag(1/pi) Y`` summed over the blocks of ``_times_spans``, then
         ``t' (. t)`` for ``U = Y t``: Y is a kept U, the design X (``t`` its
-        one map), or else Q1 (``t = T``). Computed at the first call, then kept per vector in a
-        ``WeakKeyDictionary``, made at first use, so an entry goes with its
-        vector; a race sums twice. Callers check the rank, the length of pi
-        and that pi > 0 first.
+        one map), or else Q1 (``t = T``). Computed at the first call, then
+        kept per vector in a ``WeakKeyDictionary``, made at first use, so an
+        entry goes with its vector; a race sums twice. Callers check the
+        rank, the length of pi and that pi > 0 first.
         """
         grams = cached_on(self, "_grams", weakref.WeakKeyDictionary)
         gram = grams.get(probs)
